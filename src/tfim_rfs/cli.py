@@ -3,8 +3,7 @@
 Emits plot-ready columnar data as CSV (LF, UTF-8, repr-formatted numbers so
 every value round-trips bit-for-bit) or JSON ({config, rows, metadata}).
 Exit codes: 0 success, 1 internal or numeric error, 2 usage or precondition
-error.  ``TFIM_RFS_THREADS`` caps the worker threads used for independent
-grid points (default 1).
+error.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -210,22 +207,6 @@ def _lambda_grid(cfg: RunConfig):
     return [float(v) for v in np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("TFIM_RFS_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise UsageError(f"TFIM_RFS_THREADS must be an integer, got {raw!r}") from None
-
-
-def _map_ordered(fn, items):
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _finite(value):
     if value is None:
         return None
@@ -235,15 +216,13 @@ def _finite(value):
 
 def cmd_correlators(cfg: RunConfig):
     columns = ["n_sites", "lambda", "sz", "xx", "yy", "zz", "d_sz", "d_xx", "d_yy", "d_zz"]
-    grid = [(n, lam) for n in cfg.sizes for lam in _lambda_grid(cfg)]
 
-    def row(point):
-        n, lam = point
+    def row(n, lam):
         c = correlators_finite(ChainSpec(n, lam))
         return {"n_sites": n, "lambda": lam, "sz": c.sz, "xx": c.xx, "yy": c.yy,
                 "zz": c.zz, "d_sz": c.d_sz, "d_xx": c.d_xx, "d_yy": c.d_yy, "d_zz": c.d_zz}
 
-    return columns, _map_ordered(row, grid), {}
+    return columns, [row(n, lam) for n in cfg.sizes for lam in _lambda_grid(cfg)], {}
 
 
 def _chi_row(n: int, lam: float, cfg: RunConfig, with_blocks: bool) -> dict:
@@ -276,8 +255,7 @@ def _sweep_like(cfg: RunConfig, with_blocks: bool):
         columns += ["chi_block1", "chi_block2"]
     if cfg.verify:
         columns += ["chi_oracle", "discrepancy"]
-    grid = [(n, lam) for n in cfg.sizes for lam in _lambda_grid(cfg)]
-    rows = _map_ordered(lambda p: _chi_row(p[0], p[1], cfg, with_blocks), grid)
+    rows = [_chi_row(n, lam, cfg, with_blocks) for n in cfg.sizes for lam in _lambda_grid(cfg)]
     singular = sum(1 for r in rows if r["chi"] is None)
     metadata = {"singular_rows": singular} if singular else {}
     return columns, rows, metadata
@@ -300,7 +278,7 @@ def _collect_peaks(cfg: RunConfig):
         except PeakSearchError as exc:
             return (n, str(exc))
 
-    results = _map_ordered(one, list(cfg.sizes))
+    results = [one(n) for n in cfg.sizes]
     peaks = [r for r in results if not isinstance(r, tuple)]
     failures = [r for r in results if isinstance(r, tuple)]
     return peaks, failures
@@ -454,10 +432,7 @@ def main(argv=None) -> int:
             else render_json(cfg, columns, rows, metadata)
         )
         _emit(cfg, text)
-    except UsageError as exc:
-        print(f"tfim-rfs: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes UsageError
         print(f"tfim-rfs: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -65,10 +65,10 @@ class TwoSiteRdm:
 def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     """Assemble the two-site RDM (values and derivatives) from correlators.
 
-    Raises ConsistencyError if the constructed matrix violates trace
-    normalization or positive semidefiniteness beyond roundoff tolerance,
-    and ValueError for divergent-derivative input (critical thermodynamic
-    point), where no finite derivative matrix exists.
+    Raises ConsistencyError if the constructed matrix violates positive
+    semidefiniteness beyond roundoff tolerance, and ValueError for
+    divergent-derivative input (critical thermodynamic point), where no
+    finite derivative matrix exists.
     """
     if c.derivatives_divergent:
         raise ValueError(
@@ -85,13 +85,6 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     d_w = -c.d_zz / 4.0
     d_z_plus = (c.d_xx + c.d_yy) / 4.0
     d_z_minus = (c.d_xx - c.d_yy) / 4.0
-
-    trace = u_plus + u_minus + 2.0 * w
-    if abs(trace - 1.0) > 1e-14:
-        raise ConsistencyError(f"RDM trace deviates from one by {trace - 1.0:.3e}")
-    d_trace = d_u_plus + d_u_minus + 2.0 * d_w
-    if abs(d_trace) > 1e-12:
-        raise ConsistencyError(f"RDM derivative trace deviates from zero by {d_trace:.3e}")
 
     det1 = u_plus * u_minus - z_minus * z_minus
     det2 = w * w - z_plus * z_plus

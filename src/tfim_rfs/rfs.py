@@ -9,8 +9,9 @@ Two independent routes are provided and cross-checked:
                 + (d/dlam det rho_i)^2 / det rho_i ] / (4 tr rho_i),
 
   which for the two-site block structure expands to explicit expressions in
-  the matrix elements.  Both the generic and the expanded forms are
-  evaluated and must agree to 1e-10 relative.
+  the matrix elements.  Only the expanded form is evaluated at run time;
+  the generic form, ``block_susceptibility`` on the ``rdm_blocks`` arrays,
+  is the reference the tests compare it against.
 
 * ``rfs_oracle`` -- a finite-difference limit of the Uhlmann fidelity
   F = tr sqrt(sqrt(rho) rho~ sqrt(rho)) between the states at lam and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ChainSpec, correlators_finite, correlators_thermo
-from .rdm import ConsistencyError, TwoSiteRdm, build_rdm, rdm_blocks
+from .rdm import ConsistencyError, TwoSiteRdm, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_FORM_AGREEMENT_RTOL = 1e-10
 # Eigenvalues above this (negative) threshold are roundoff and are clamped
 # to zero; anything below it is a genuine positivity violation.
 _EIG_TOL = -1e-12
@@ -106,8 +106,8 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
                 / [4 (u+ + u-)]
         chi_2 = [ dz+^2 + (w dw - z+ dz+)^2 / (w^2 - z+^2) ] / (2 w)
 
-    Each is checked against the generic block formula; disagreement beyond
-    1e-10 relative raises ConsistencyError.
+    The generic block formula (``block_susceptibility``) is not evaluated
+    here; it is the reference the tests hold these expressions to.
     """
     det1 = rho.u_plus * rho.u_minus - rho.z_minus * rho.z_minus
     det2 = rho.w * rho.w - rho.z_plus * rho.z_plus
@@ -128,16 +128,6 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
     ) / (4.0 * (rho.u_plus + rho.u_minus))
     d_half2 = rho.w * rho.d_w - rho.z_plus * rho.d_z_plus
     chi2 = (rho.d_z_plus ** 2 + d_half2 * d_half2 / det2) / (2.0 * rho.w)
-
-    (b1, db1), (b2, db2) = rdm_blocks(rho)
-    generic1 = block_susceptibility(b1, db1)
-    generic2 = block_susceptibility(b2, db2)
-    scale = max(abs(chi1) + abs(chi2), 1e-300)
-    if abs(chi1 - generic1) + abs(chi2 - generic2) > _FORM_AGREEMENT_RTOL * scale:
-        raise ConsistencyError(
-            "expanded and generic block formulas disagree: "
-            f"({chi1!r}, {chi2!r}) vs ({generic1!r}, {generic2!r})"
-        )
 
     chi = chi1 + chi2
     if chi < 0.0:

@@ -44,14 +44,6 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_output(capsys, monkeypatch):
-    args = ["sweep", "--sizes", "12,52", "--steps", "5"]
-    _, sequential, _ = run_cli(args, capsys)
-    monkeypatch.setenv("TFIM_RFS_THREADS", "4")
-    _, threaded, _ = run_cli(args, capsys)
-    assert sequential == threaded
-
-
 def test_csv_and_json_encode_identical_values(capsys):
     base = ["sweep", "--sizes", "12", "--steps", "4"]
     _, csv_text, _ = run_cli(base + ["--format", "csv"], capsys)

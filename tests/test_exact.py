@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tfim_rfs.exact
 from tfim_rfs import (
     ChainSpec,
     CorrelatorSet,
@@ -117,6 +118,13 @@ class TestFiniteCorrelators:
         for value, deriv in zip(FIELDS, DERIVS):
             fd = fd6(lambda x: getattr(correlators_finite(ChainSpec(n, x)), value), lam)
             assert abs(fd - getattr(c, deriv)) <= 1e-7
+
+    def test_vanishing_dispersion_rejected(self, monkeypatch):
+        # At lam = 1 and N of order 3e8, cos(pi/N) rounds to 1 and omega to 0.
+        tables = (np.array([1.0, -1.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        monkeypatch.setattr(tfim_rfs.exact, "_mode_tables", lambda n: tables)
+        with pytest.raises(ValueError, match="N=4, lam=1.0"):
+            correlators_finite(ChainSpec(4, 1.0))
 
     def test_critical_magnetization_derivative_finite_difference(self):
         n = 8192

@@ -10,6 +10,7 @@ from tfim_rfs import (
     block_susceptibility,
     build_rdm,
     correlators_finite,
+    correlators_thermo,
     oracle_estimate,
     rdm_blocks,
     rfs_closed_form,
@@ -30,10 +31,14 @@ class TestClosedForm:
         assert value.chi == pytest.approx(value.chi_block1 + value.chi_block2, rel=1e-15)
         assert value.chi >= 0.0
 
-    @pytest.mark.parametrize("lam", [0.3, 0.95, 1.0, 1.6])
-    @pytest.mark.parametrize("n", [64, 1024])
-    def test_expanded_equals_generic(self, lam, n):
-        rho = rdm_at(n, lam)
+    @pytest.mark.parametrize("n,lam", [
+        *((n, lam) for n in (64, 1024) for lam in (0.3, 0.95, 1.0, 1.6)),
+        *(("thermo", 1.0 + s * d) for d in (1e-1, 1e-3, 1e-5) for s in (-1.0, 1.0)),
+        ("thermo", 0.3),
+        ("thermo", 1.6),
+    ])
+    def test_expanded_equals_generic(self, n, lam):
+        rho = build_rdm(correlators_thermo(lam)) if n == "thermo" else rdm_at(n, lam)
         value = rfs_closed_form(rho)
         (b1, db1), (b2, db2) = rdm_blocks(rho)
         generic = block_susceptibility(b1, db1) + block_susceptibility(b2, db2)
