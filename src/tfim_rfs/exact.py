@@ -17,12 +17,11 @@ Two evaluation regimes are provided:
   derivatives follow from dK/dk = [E/(1-k^2) - K]/k and dE/dk = (E - K)/k
   via the chain rule.
 
-Momentum sums are accumulated with exact (error-free-transformation)
-summation, but that does not make them error-free: the dominant error is
-cancellation in omega = sqrt(1 + lam^2 - 2 lam cos phi), and in
-1 - lam cos phi and lam - cos phi, for phi -> 0 near lam = 1.  At lam = 1
-chi carries a relative error of about 2.7e-9 at N = 32768, growing with N,
-with or without exact summation.
+Finite sums run over the N/2 positive momenta (every summand is even in
+phi) in the half-angle variable s = sin^2(phi/2), which avoids the
+cancellation in omega and its numerators as phi -> 0 near lam = 1, and are
+accumulated pairwise (np.sum).  Against a 40-digit reference, chi at lam = 1
+is within about 1e-15 relative up to N = 32768.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, pi
+from math import pi
 from numbers import Integral, Real
 
 import numpy as np
@@ -142,18 +141,17 @@ def momentum_grid(spec: ChainSpec) -> np.ndarray:
 
 
 def dispersion(lam: float, phi):
-    """Quasiparticle energy omega(phi) = sqrt(1 + lam^2 - 2 lam cos phi)."""
-    return np.sqrt(1.0 + lam * lam - 2.0 * lam * np.cos(phi))
+    """omega(phi) = sqrt(1 + lam^2 - 2 lam cos phi), as sqrt((1-lam)^2 + 4 lam sin^2(phi/2))."""
+    gap = 1.0 - lam
+    return np.sqrt(gap * gap + 4.0 * lam * np.sin(0.5 * np.asarray(phi)) ** 2)
 
 
 @lru_cache(maxsize=64)
-def _mode_tables(n_sites: int):
-    """Cached per-size trigonometric tables (cos phi, cos 2phi, sin^2 phi)."""
-    phi = momentum_grid(ChainSpec(n_sites, 0.0))
-    tables = (np.cos(phi), np.cos(2.0 * phi), np.sin(phi) ** 2)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+def _half_angle_table(n_sites: int) -> np.ndarray:
+    """Cached, read-only s = sin^2(phi/2) on the N/2 positive momenta."""
+    s = np.sin(0.5 * momentum_grid(ChainSpec(n_sites, 0.0))[n_sites // 2:]) ** 2
+    s.setflags(write=False)
+    return s
 
 
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
@@ -165,31 +163,31 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
         yy = (lam cos 2phi - cos phi) / omega
     and zz = sz^2 - xx yy.  Each derivative is the quotient-rule derivative
     of its summand, which reduces to
-        d sz = -lam sin^2 phi / omega^3
+        d sz = -lam sin^2 phi / omega^3  (= -lam d xx)
         d xx = sin^2 phi / omega^3
         d yy = sin^2 phi (2 lam cos phi - 1) / omega^3,
-    with d zz from the product rule.  Summands are accumulated with exact
-    summation.
+    with d zz from the product rule.  With s = sin^2(phi/2), cos phi = 1 - 2s,
+    sin^2 phi = 4s(1 - s) and lam cos 2phi - cos phi = (lam - 1) + 2s(1 - 4 lam (1 - s));
+    the sums are pairwise means over the N/2 positive momenta.
     """
     n, lam = spec.n_sites, spec.lam
-    cos_phi, cos_2phi, sin_sq = _mode_tables(n)
-    omega = np.sqrt(1.0 + lam * lam - 2.0 * lam * cos_phi)
-    # Half-odd momenta keep the spectrum gapped for every lam >= 0, but at
-    # lam = 1 and N of order 3e8, cos(pi/N) rounds to 1 and omega to zero.
+    s = _half_angle_table(n)
+    gap = 1.0 - lam
+    omega = np.sqrt(gap * gap + 4.0 * lam * s)
+    # omega >= 2 sqrt(lam) sin(pi/2N) > 0 on the half-odd grid; this guards the
+    # quotients below against a zero table entry.
     if float(np.min(omega)) <= 0.0:
-        raise ValueError(
-            f"dispersion vanishes in floating point at N={n}, lam={lam}; "
-            "the momentum grid is too fine for double precision"
-        )
+        raise ValueError(f"dispersion vanishes in floating point at N={n}, lam={lam}")
     inv = 1.0 / omega
-    inv3 = inv * inv * inv
+    sin_sq_inv3 = 4.0 * s * (1.0 - s) * inv * inv * inv
+    half = len(s)
 
-    sz = fsum((1.0 - lam * cos_phi) * inv) / n
-    xx = fsum((lam - cos_phi) * inv) / n
-    yy = fsum((lam * cos_2phi - cos_phi) * inv) / n
-    d_sz = fsum(-lam * sin_sq * inv3) / n
-    d_xx = fsum(sin_sq * inv3) / n
-    d_yy = fsum(sin_sq * (2.0 * lam * cos_phi - 1.0) * inv3) / n
+    sz = float(np.sum((gap + 2.0 * lam * s) * inv)) / half
+    xx = float(np.sum((2.0 * s - gap) * inv)) / half
+    yy = float(np.sum((2.0 * s * (1.0 - 4.0 * lam * (1.0 - s)) - gap) * inv)) / half
+    d_xx = float(np.sum(sin_sq_inv3)) / half
+    d_yy = float(np.sum((2.0 * lam * (1.0 - 2.0 * s) - 1.0) * sin_sq_inv3)) / half
+    d_sz = -lam * d_xx
 
     zz = sz * sz - xx * yy
     d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,12 @@ from tfim_rfs import (
     dispersion,
     log_divergence_coefficient,
     momentum_grid,
+    susceptibility,
 )
+
+# Independent 40-digit mpmath evaluation of the same sums (shares no code
+# with tfim_rfs), loaded from the benchmark directory.
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -73,9 +81,10 @@ class TestDispersion:
     def test_zero_coupling(self):
         assert dispersion(0.0, 1.234) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("phi", [-2.0, 0.3, 3.0])
+    @pytest.mark.parametrize("phi", [-2.0, 0.3, 3.0, 1e-9, 2e-5])
     def test_critical_form(self, phi):
-        assert dispersion(1.0, phi) == pytest.approx(2 * abs(math.sin(phi / 2)), rel=1e-14)
+        expected = 2 * abs(math.sin(phi / 2))
+        assert dispersion(1.0, phi) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_gap_at_zero_angle(self):
         assert dispersion(2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -120,9 +129,9 @@ class TestFiniteCorrelators:
             assert abs(fd - getattr(c, deriv)) <= 1e-7
 
     def test_vanishing_dispersion_rejected(self, monkeypatch):
-        # At lam = 1 and N of order 3e8, cos(pi/N) rounds to 1 and omega to 0.
-        tables = (np.array([1.0, -1.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        monkeypatch.setattr(tfim_rfs.exact, "_mode_tables", lambda n: tables)
+        # A zero sin^2(phi/2) entry makes omega vanish at lam = 1.
+        table = np.array([0.0, 0.5])
+        monkeypatch.setattr(tfim_rfs.exact, "_half_angle_table", lambda n: table)
         with pytest.raises(ValueError, match="N=4, lam=1.0"):
             correlators_finite(ChainSpec(4, 1.0))
 
@@ -139,6 +148,43 @@ class TestFiniteCorrelators:
             offsets.append(c.d_sz + math.log(n) / math.pi)
         assert abs(offsets[0] - offsets[1]) < 0.01
         assert abs(offsets[1] - offsets[2]) < 0.01
+
+
+@lru_cache(maxsize=None)
+def _reference():
+    mpmath = pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, mpmath.mp
+
+
+@lru_cache(maxsize=None)
+def _reference_table(n):
+    reference, mp = _reference()
+    with mp.workdps(reference.FINITE_DPS):
+        return reference.mode_table(n)
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("n,lam", [(512, 1.0), (4096, 1.0), (4096, 0.95),
+                                       (4096, 1.003), (1024, 0.3), (1024, 2.5)])
+    def test_correlators_and_chi(self, n, lam):
+        reference, mp = _reference()
+        table = _reference_table(n)
+        c = correlators_finite(ChainSpec(n, lam))
+        chi = susceptibility(n, lam)
+        with mp.workdps(reference.FINITE_DPS):
+            sz, xx, yy, d_sz, d_xx, d_yy = reference.correlators_finite(lam, table)
+            expected = {
+                "sz": sz, "xx": xx, "yy": yy, "zz": sz * sz - xx * yy,
+                "d_sz": d_sz, "d_xx": d_xx, "d_yy": d_yy,
+                "d_zz": 2 * sz * d_sz - d_xx * yy - xx * d_yy,
+            }
+            for name, value in expected.items():
+                assert abs(getattr(c, name) - value) <= 1e-13 * abs(value), name
+            ref_chi = reference.chi_from_correlators(sz, xx, yy, d_sz, d_xx, d_yy)
+            assert abs(chi - ref_chi) <= 1e-13 * ref_chi
 
 
 class TestThermoCorrelators:
