@@ -26,8 +26,8 @@ from .exact import CorrelatorSet
 
 __all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm", "rdm_blocks"]
 
-# Positivity slack: generous against exact-summation roundoff, tight enough
-# to catch genuine formula bugs.
+# Positivity slack: far above the roundoff of the correlator values, tight
+# enough to catch genuine formula bugs.
 _PSD_TOL = 1e-10
 
 # Block determinants or traces at or below this are treated as singular

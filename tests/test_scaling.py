@@ -16,6 +16,7 @@ from tfim_rfs import (
     fit_sq_log_model,
     fit_thermo,
     susceptibility,
+    susceptibility_thermo,
 )
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
@@ -96,6 +97,15 @@ class TestFitThermo:
         assert abs(a - 0.2) <= 1e-8 and abs(d1 - 0.7) <= 1e-8 and abs(d2 - 0.1) <= 1e-8
         assert r_sq == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x,y", [
+        ([2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]),  # a = 0 leaves d1 free
+    ])
+    def test_underdetermined_rejected(self, x, y):
+        with pytest.raises(ValueError, match="not determined"):
+            fit_sq_log_model(x, y)
+
     def test_mixed_branches_rejected(self):
         with pytest.raises(ValueError):
             fit_thermo([0.99, 0.999, 1.01, 1.001])
@@ -107,6 +117,54 @@ class TestFitThermo:
     def test_critical_coupling_rejected(self):
         with pytest.raises(ValueError):
             fit_thermo([0.99, 0.999, 0.9999, 1.0])
+
+
+def _thermo_window(lo, hi, sign):
+    gaps = np.logspace(math.log10(lo), math.log10(hi), 41)
+    lams = 1.0 + sign * gaps
+    x = np.log(1.0 / np.abs(1.0 - lams))
+    return x, np.array([susceptibility_thermo(float(lam)) for lam in lams])
+
+
+def _synthetic_far_window():
+    # x ~ 30 is |1 - lam| ~ 1e-14: y runs from 130 to 160, and
+    # d2 = c0 - c1^2/(4a) cancels c1^2/(4a) ~ 140 down to d2 ~ 0.5.
+    x = np.linspace(30.0, 33.0, 41)
+    return x, LOG_SQUARED_AMPLITUDE * (x - 0.6) ** 2 + 0.1 + 1e-3 * np.cos(5.0 * x)
+
+
+FIT_DATA = {
+    "below_1e-2_1e-1": lambda: _thermo_window(1e-2, 1e-1, -1.0),
+    "above_1e-2_1e-1": lambda: _thermo_window(1e-2, 1e-1, 1.0),
+    "below_1e-6_1e-5": lambda: _thermo_window(1e-6, 1e-5, -1.0),
+    "synthetic_x_30_33": _synthetic_far_window,
+}
+
+
+class TestFitMpmathReference:
+    """fit_sq_log_model against the exact optimum of the same float data:
+    the normal equations of y = c2 x^2 + c1 x + c0 solved at 50 digits."""
+
+    @staticmethod
+    def exact_fit(x, y):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            xs = [mpmath.mpf(float(v)) for v in x]
+            ys = [mpmath.mpf(float(v)) for v in y]
+            power_sums = [mpmath.fsum(v ** k for v in xs) for k in range(5)]
+            moments = [mpmath.fsum(u ** k * v for u, v in zip(xs, ys)) for k in (2, 1, 0)]
+            normal = mpmath.matrix([[power_sums[4 - i - j] for j in range(3)] for i in range(3)])
+            c2, c1, c0 = mpmath.lu_solve(normal, mpmath.matrix(moments))
+            return c2, c1 / (2 * c2), c0 - c1 ** 2 / (4 * c2)
+
+    @pytest.mark.parametrize("name", sorted(FIT_DATA))
+    def test_matches_exact_optimum(self, name):
+        x, y = FIT_DATA[name]()
+        a, d1, d2, _ = fit_sq_log_model(x, y)
+        ref_a, ref_d1, ref_d2 = (float(v) for v in self.exact_fit(x, y))
+        assert abs(a - ref_a) <= 1e-12 * abs(ref_a)
+        assert abs(d1 - ref_d1) <= 1e-10 * max(1.0, abs(ref_d1))
+        assert abs(d2 - ref_d2) <= 1e-10 * max(1.0, abs(ref_d2))
 
 
 class TestDataCollapse:
