@@ -4,6 +4,10 @@ Emits plot-ready columnar data as CSV (LF, UTF-8, repr-formatted numbers so
 every value round-trips bit-for-bit) or JSON ({config, rows, metadata}).
 Exit codes: 0 success, 1 internal or numeric error, 2 usage or precondition
 error.
+
+Each option is declared once, in `_OPTIONS` (its flag, config-file key,
+parser, default and help), and each command once, in `_COMMANDS`: add an
+option or a command there and nowhere else.
 """
 
 from __future__ import annotations
@@ -32,22 +36,7 @@ from .scaling import (
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
-_COMMANDS = ("correlators", "rfs", "sweep", "peak", "scaling", "collapse", "thermo")
-
-# Commands that interpret (lambda_min, lambda_max) as a peak-search bracket.
-_BRACKET_COMMANDS = ("peak", "scaling", "collapse")
-
-_DEFAULTS = {
-    "sizes": (512, 1024, 2048, 4096, 8192, 16384),
-    "lambda_min": 0.8,
-    "lambda_max": 1.2,
-    "steps": 41,
-    "delta": 1e-4,
-    "nu": 1.0,
-    "verify": False,
-    "format": "csv",
-    "out": None,
-}
+_FORMATS = ("csv", "json")
 _BRACKET_DEFAULT = (0.8, 1.1)
 
 
@@ -81,7 +70,7 @@ class RunConfig:
             )
         if self.steps < 1:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in _FORMATS:
             raise UsageError(f"format must be csv or json, got {self.output_format!r}")
 
 
@@ -101,6 +90,22 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"cannot parse boolean {text!r}")
 
 
+# name: (config-value parser, default, help).  The name is the config-file key
+# and, with dashes for underscores, the flag of every command.
+_OPTIONS = {
+    "sizes": (_parse_sizes, (512, 1024, 2048, 4096, 8192, 16384),
+              "comma-separated even chain sizes, e.g. 512,1024"),
+    "lambda_min": (float, 0.8, None),
+    "lambda_max": (float, 1.2, None),
+    "steps": (int, 41, "grid points between lambda-min and lambda-max"),
+    "delta": (float, 1e-4, "oracle base step (default 1e-4)"),
+    "nu": (float, 1.0, "collapse exponent (default 1)"),
+    "verify": (_parse_bool, False, "run the fidelity oracle alongside the closed form"),
+    "format": (str, "csv", None),
+    "out": (str, None, "output path (default stdout)"),
+}
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value file mirroring the flag names (underscored)."""
     values = {}
@@ -118,22 +123,10 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in _DEFAULTS:
+            if key not in _OPTIONS:
                 raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
             values[key] = value
-    parsed = {}
-    for key, value in values.items():
-        if key == "sizes":
-            parsed[key] = _parse_sizes(value)
-        elif key in ("lambda_min", "lambda_max", "delta", "nu"):
-            parsed[key] = float(value)
-        elif key == "steps":
-            parsed[key] = int(value)
-        elif key == "verify":
-            parsed[key] = _parse_bool(value)
-        else:
-            parsed[key] = value
-    return parsed
+    return {key: _OPTIONS[key][0](value) for key, value in values.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,32 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "correlators": "magnetization and neighbour correlators on an (N, lambda) grid",
-        "rfs": "closed-form susceptibility with per-block contributions",
-        "sweep": "susceptibility over the (N, lambda) grid, optionally oracle-verified",
-        "peak": "peak location lambda_m and height chi_m per size",
-        "scaling": "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)",
-        "collapse": "scaled collapse curves and their quality metric (needs >= 3 sizes)",
-        "thermo": "thermodynamic-limit correlators and susceptibility per lambda",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--sizes", type=str, default=None,
-                         help="comma-separated even chain sizes, e.g. 512,1024")
-        cmd.add_argument("--lambda-min", type=float, default=None, dest="lambda_min")
-        cmd.add_argument("--lambda-max", type=float, default=None, dest="lambda_max")
-        cmd.add_argument("--steps", type=int, default=None,
-                         help="grid points between lambda-min and lambda-max")
-        cmd.add_argument("--delta", type=float, default=None,
-                         help="oracle base step (default 1e-4)")
-        cmd.add_argument("--nu", type=float, default=None,
-                         help="collapse exponent (default 1)")
-        cmd.add_argument("--verify", action="store_true", default=None,
-                         help="run the fidelity oracle alongside the closed form")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
-        cmd.add_argument("--out", type=str, default=None,
-                         help="output path (default stdout)")
+    for name, (_, help_text, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for key, (parse, _, option_help) in _OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                cmd.add_argument(flag, action="store_true", default=None, help=option_help)
+            else:
+                # argparse converts only numbers; text such as --sizes is parsed
+                # in resolve_config, so a bad list exits 2 with our own message.
+                cmd.add_argument(flag, type=parse if parse in (int, float) else str,
+                                 choices=_FORMATS if key == "format" else None,
+                                 default=None, help=option_help)
         cmd.add_argument("--config", type=str, default=None,
                          help="flat key=value config file; flags take precedence")
     return parser
@@ -178,29 +157,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (increasing precedence)."""
-    merged = dict(_DEFAULTS)
-    if args.command in _BRACKET_COMMANDS:
+    merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
+    if _COMMANDS[args.command][2]:
         merged["lambda_min"], merged["lambda_max"] = _BRACKET_DEFAULT
     if args.config is not None:
         merged.update(load_config_file(args.config))
-    for key in ("lambda_min", "lambda_max", "steps", "delta", "nu", "verify", "format", "out"):
+    for key, (parse, _, _) in _OPTIONS.items():
         value = getattr(args, key)
         if value is not None:
-            merged[key] = value
-    if args.sizes is not None:
-        merged["sizes"] = _parse_sizes(args.sizes)
-    return RunConfig(
-        command=args.command,
-        sizes=tuple(sorted(set(merged["sizes"]))),
-        lambda_min=float(merged["lambda_min"]),
-        lambda_max=float(merged["lambda_max"]),
-        steps=int(merged["steps"]),
-        delta=float(merged["delta"]),
-        nu=float(merged["nu"]),
-        verify=bool(merged["verify"]),
-        output_format=merged["format"],
-        output_path=merged["out"],
-    )
+            merged[key] = parse(value) if isinstance(value, str) else value
+    # The other options share their RunConfig field's name.
+    sizes = tuple(sorted(set(merged.pop("sizes"))))
+    return RunConfig(command=args.command, sizes=sizes, output_format=merged.pop("format"),
+                     output_path=merged.pop("out"), **merged)
 
 
 def _lambda_grid(cfg: RunConfig):
@@ -225,72 +194,66 @@ def cmd_correlators(cfg: RunConfig):
     return columns, [row(n, lam) for n in cfg.sizes for lam in _lambda_grid(cfg)], {}
 
 
-def _chi_row(n: int, lam: float, cfg: RunConfig, with_blocks: bool) -> dict:
-    row = {"n_sites": n, "lambda": lam}
+def _chi_row(n: int, lam: float, cfg: RunConfig) -> dict:
+    """Every chi column of one grid point; None if a block is singular or the oracle fails."""
+    row = {"n_sites": n, "lambda": lam, "chi": None, "chi_block1": None, "chi_block2": None,
+           "chi_oracle": None, "discrepancy": None}
     try:
         value = rfs_closed_form(build_rdm(correlators_finite(ChainSpec(n, lam))))
-        row["chi"] = value.chi
-        if with_blocks:
-            row["chi_block1"] = value.chi_block1
-            row["chi_block2"] = value.chi_block2
+        row.update(chi=value.chi, chi_block1=value.chi_block1, chi_block2=value.chi_block2)
     except SingularBlockError:
-        row["chi"] = None
-        if with_blocks:
-            row["chi_block1"] = None
-            row["chi_block2"] = None
+        pass
     if cfg.verify:
         try:
             oracle = rfs_oracle(ChainSpec(n, lam), cfg.delta)
-            row["chi_oracle"] = oracle.chi
-            row["discrepancy"] = oracle.discrepancy
+            row.update(chi_oracle=oracle.chi, discrepancy=oracle.discrepancy)
         except ValueError:
-            row["chi_oracle"] = None
-            row["discrepancy"] = None
+            pass
     return row
 
 
-def _sweep_like(cfg: RunConfig, with_blocks: bool):
-    columns = ["n_sites", "lambda", "chi"]
-    if with_blocks:
-        columns += ["chi_block1", "chi_block2"]
+def _chi_table(cfg: RunConfig, columns: list[str]):
     if cfg.verify:
-        columns += ["chi_oracle", "discrepancy"]
-    rows = [_chi_row(n, lam, cfg, with_blocks) for n in cfg.sizes for lam in _lambda_grid(cfg)]
+        columns = columns + ["chi_oracle", "discrepancy"]
+    rows = [_chi_row(n, lam, cfg) for n in cfg.sizes for lam in _lambda_grid(cfg)]
     singular = sum(1 for r in rows if r["chi"] is None)
     metadata = {"singular_rows": singular} if singular else {}
     return columns, rows, metadata
 
 
 def cmd_sweep(cfg: RunConfig):
-    return _sweep_like(cfg, with_blocks=False)
+    return _chi_table(cfg, ["n_sites", "lambda", "chi"])
 
 
 def cmd_rfs(cfg: RunConfig):
-    return _sweep_like(cfg, with_blocks=True)
+    return _chi_table(cfg, ["n_sites", "lambda", "chi", "chi_block1", "chi_block2"])
 
 
-def _collect_peaks(cfg: RunConfig):
-    bracket = (cfg.lambda_min, cfg.lambda_max)
+def _peaks(cfg: RunConfig, minimum: int | None = None):
+    """Peak records of the sizes that succeed, and a message per failed size.
 
-    def one(n):
+    Raises UsageError if any search fails or, given `minimum`, if fewer than
+    `minimum` succeed.
+    """
+    peaks, failures = [], []
+    for n in cfg.sizes:
         try:
-            return find_peak(n, bracket=bracket, scan_points=cfg.steps)
+            peaks.append(find_peak(n, bracket=(cfg.lambda_min, cfg.lambda_max),
+                                   scan_points=cfg.steps))
         except PeakSearchError as exc:
-            return (n, str(exc))
-
-    results = [one(n) for n in cfg.sizes]
-    peaks = [r for r in results if not isinstance(r, tuple)]
-    failures = [r for r in results if isinstance(r, tuple)]
+            failures.append(f"N={n}: {exc}")
+    if minimum is None and failures:
+        raise UsageError("peak search failed for sizes: " + "; ".join(failures))
+    if minimum is not None and len(peaks) < minimum:
+        raise UsageError(
+            f"only {len(peaks)} peak searches succeeded (need >= {minimum}); failures: "
+            + "; ".join(failures)
+        )
     return peaks, failures
 
 
 def cmd_peak(cfg: RunConfig):
-    peaks, failures = _collect_peaks(cfg)
-    if failures:
-        raise UsageError(
-            "peak search failed for sizes: "
-            + "; ".join(f"N={n}: {msg}" for n, msg in failures)
-        )
+    peaks, _ = _peaks(cfg)
     columns = ["n_sites", "lambda_m", "chi_m"]
     rows = [{"n_sites": p.n_sites, "lambda_m": p.lambda_m, "chi_m": p.chi_m} for p in peaks]
     return columns, rows, {}
@@ -299,12 +262,7 @@ def cmd_peak(cfg: RunConfig):
 def cmd_scaling(cfg: RunConfig):
     if len(cfg.sizes) < 5:
         raise UsageError(f"scaling needs at least 5 sizes, got {len(cfg.sizes)}")
-    peaks, failures = _collect_peaks(cfg)
-    if len(peaks) < 5:
-        raise UsageError(
-            f"only {len(peaks)} peak searches succeeded (need >= 5); failures: "
-            + "; ".join(f"N={n}: {msg}" for n, msg in failures)
-        )
+    peaks, failures = _peaks(cfg, minimum=5)
     fit = fit_finite_size(peaks)
     columns = ["n_sites", "lambda_m", "chi_m", "sqrt_chi_m"]
     rows = [
@@ -324,19 +282,14 @@ def cmd_scaling(cfg: RunConfig):
         "flagged": fit.flagged,
     }
     if failures:
-        metadata["peak_failures"] = [f"N={n}: {msg}" for n, msg in failures]
+        metadata["peak_failures"] = failures
     return columns, rows, metadata
 
 
 def cmd_collapse(cfg: RunConfig):
     if len(cfg.sizes) < 3:
         raise UsageError(f"collapse needs at least 3 sizes, got {len(cfg.sizes)}")
-    peaks, failures = _collect_peaks(cfg)
-    if failures:
-        raise UsageError(
-            "peak search failed for sizes: "
-            + "; ".join(f"N={n}: {msg}" for n, msg in failures)
-        )
+    peaks, _ = _peaks(cfg)
     records = {p.n_sites: p for p in peaks}
     curve = data_collapse(cfg.sizes, nu=cfg.nu, peaks=records)
     quality = collapse_quality(curve)
@@ -367,14 +320,19 @@ def cmd_thermo(cfg: RunConfig):
     return columns, rows, metadata
 
 
-_DISPATCH = {
-    "correlators": cmd_correlators,
-    "rfs": cmd_rfs,
-    "sweep": cmd_sweep,
-    "peak": cmd_peak,
-    "scaling": cmd_scaling,
-    "collapse": cmd_collapse,
-    "thermo": cmd_thermo,
+# name: (handler, help, whether lambda_min..lambda_max is a peak-search bracket,
+# which then defaults to _BRACKET_DEFAULT).
+_COMMANDS = {
+    "correlators": (cmd_correlators,
+                    "magnetization and neighbour correlators on an (N, lambda) grid", False),
+    "rfs": (cmd_rfs, "closed-form susceptibility with per-block contributions", False),
+    "sweep": (cmd_sweep,
+              "susceptibility over the (N, lambda) grid, optionally oracle-verified", False),
+    "peak": (cmd_peak, "peak location lambda_m and height chi_m per size", True),
+    "scaling": (cmd_scaling, "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)", True),
+    "collapse": (cmd_collapse,
+                 "scaled collapse curves and their quality metric (needs >= 3 sizes)", True),
+    "thermo": (cmd_thermo, "thermodynamic-limit correlators and susceptibility per lambda", False),
 }
 
 
@@ -425,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        columns, rows, metadata = _DISPATCH[cfg.command](cfg)
+        columns, rows, metadata = _COMMANDS[cfg.command][0](cfg)
         text = (
             render_csv(columns, rows, metadata)
             if cfg.output_format == "csv"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ChainSpec, correlators_finite, correlators_thermo
-from .rdm import ConsistencyError, TwoSiteRdm, build_rdm
+from .rdm import _SINGULAR_TOL, ConsistencyError, TwoSiteRdm, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -45,7 +45,6 @@ __all__ = [
     "uhlmann_fidelity",
 ]
 
-_SINGULAR_TOL = 1e-12
 # Eigenvalues above this (negative) threshold are roundoff and are clamped
 # to zero; anything below it is a genuine positivity violation.
 _EIG_TOL = -1e-12

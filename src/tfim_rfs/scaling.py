@@ -199,8 +199,9 @@ def fit_sq_log_model(x, y):
     thermodynamic divergence; exposed separately so synthetic data can be
     fitted directly.  Raises ValueError for fewer than 4 points, when x has
     fewer than 3 distinct values, which leaves (a, d1, d2) undetermined, and
-    when the fitted a is exactly 0 (as for constant y), which leaves d1
-    undetermined.
+    when the curvature is not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which
+    leaves d1 undetermined: on exactly linear data a is roundoff (~1e-16)
+    and d1 ~ 1/a, while real thermodynamic windows give at least 0.07.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -216,8 +217,11 @@ def fit_sq_log_model(x, y):
             "the three parameters (a, d1, d2) are not determined"
         )
     a, c1, c0 = (float(c) for c in coeffs)
-    if a == 0.0:
-        raise ValueError("the fitted curvature a is 0: d1 is not determined")
+    if abs(a) * float(np.ptp(x)) ** 2 <= 1e-8 * float(np.ptp(y)):
+        raise ValueError(
+            f"the fitted curvature a = {a!r} is not resolved against the spread of y: "
+            "d1 is not determined"
+        )
     d1 = c1 / (2.0 * a) - x_mean
     d2 = (c0 + y_mean) - c1 * c1 / (4.0 * a)
     return a, d1, d2, _r_squared(y, deviations - design @ coeffs)

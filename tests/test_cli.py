@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tfim_rfs.cli import load_config_file, main
+from tfim_rfs.cli import _OPTIONS, build_parser, load_config_file, main, resolve_config
 
 
 def run_cli(args, capsys):
@@ -188,6 +188,52 @@ def test_config_file_then_flags(tmp_path, capsys):
     assert doc["config"]["lambda_min"] == 0.85  # from file
     assert doc["config"]["steps"] == 2          # flag wins
     assert doc["config"]["sizes"] == [12]
+
+
+# Per option: its config-file value, and the RunConfig field it sets with the
+# value expected there.
+_OPTION_CASES = {
+    "sizes": ("16,12", "sizes", [12, 16]),
+    "lambda_min": ("0.85", "lambda_min", 0.85),
+    "lambda_max": ("1.05", "lambda_max", 1.05),
+    "steps": ("3", "steps", 3),
+    "delta": ("2e-4", "delta", 2e-4),
+    "nu": ("1.5", "nu", 1.5),
+    "verify": ("true", "verify", True),
+    "format": ("json", "output_format", "json"),
+    "out": ("rows.json", "output_path", "rows.json"),
+}
+
+
+@pytest.mark.parametrize("key", list(_OPTIONS))
+def test_config_key_matches_flag(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text, field, expected = _OPTION_CASES[key]
+    flag = ["--" + key.replace("_", "-")] + ([] if key == "verify" else [text])
+    base = {"sizes": ["--sizes", "12"], "steps": ["--steps", "2"], "format": ["--format", "json"]}
+    base_args = ["sweep"] + [arg for k, args in base.items() if k != key for arg in args]
+    (tmp_path / "one.cfg").write_text(f"{key} = {text}\n")
+
+    def config_of(args):
+        code, out, err = run_cli(base_args + args, capsys)
+        assert code == 0, err
+        doc = json.loads((tmp_path / "rows.json").read_text() if key == "out" else out)
+        return doc["config"]
+
+    from_file = config_of(["--config", "one.cfg"])
+    assert from_file[field] == expected
+    assert config_of(flag) == from_file
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("correlators", (0.8, 1.2)), ("rfs", (0.8, 1.2)), ("sweep", (0.8, 1.2)),
+    ("thermo", (0.8, 1.2)), ("peak", (0.8, 1.1)), ("scaling", (0.8, 1.1)),
+    ("collapse", (0.8, 1.1)),
+])
+def test_lambda_range_default(command, expected):
+    # peak, scaling and collapse read the range as the peak-search bracket.
+    cfg = resolve_config(build_parser().parse_args([command]))
+    assert (cfg.lambda_min, cfg.lambda_max) == expected
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

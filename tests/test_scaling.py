@@ -101,6 +101,8 @@ class TestFitThermo:
         ([2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
         ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
         ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]),  # a = 0 leaves d1 free
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]),  # linear: a is roundoff
+        (np.linspace(2.0, 4.0, 20), 3.0 * np.linspace(2.0, 4.0, 20) + 1.0),
     ])
     def test_underdetermined_rejected(self, x, y):
         with pytest.raises(ValueError, match="not determined"):
