@@ -24,7 +24,7 @@ import numpy as np
 
 from .exact import ChainSpec, correlators_finite, correlators_thermo
 from .rdm import build_rdm
-from .rfs import SingularBlockError, rfs_closed_form, rfs_oracle
+from .rfs import _DELTA_MAX, _DELTA_MIN, SingularBlockError, rfs_closed_form, rfs_oracle
 from .scaling import (
     LOG_SQUARED_AMPLITUDE,
     PeakSearchError,
@@ -70,6 +70,8 @@ class RunConfig:
             )
         if self.steps < 1:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
+        if not _DELTA_MIN <= self.delta <= _DELTA_MAX:
+            raise UsageError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {self.delta}")
         if self.output_format not in _FORMATS:
             raise UsageError(f"format must be csv or json, got {self.output_format!r}")
 
@@ -295,7 +297,6 @@ def cmd_collapse(cfg: RunConfig):
     quality = collapse_quality(curve)
     columns = ["n_sites", "x", "y"]
     rows = [{"n_sites": n, "x": x, "y": y} for x, y, n in curve.points]
-    rows.sort(key=lambda r: (r["n_sites"], r["x"]))
     return columns, rows, {"nu": cfg.nu, "collapse_quality": quality}
 
 

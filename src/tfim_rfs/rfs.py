@@ -221,13 +221,13 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
 
 
 @lru_cache(maxsize=262144)
-def _chi_finite_cached(n_sites: int, lam: float) -> float:
-    return rfs_closed_form(build_rdm(correlators_finite(ChainSpec(n_sites, lam)))).chi
+def _chi_finite_cached(spec: ChainSpec) -> float:
+    return rfs_closed_form(build_rdm(correlators_finite(spec))).chi
 
 
 def susceptibility(n_sites: int, lam: float) -> float:
-    """Closed-form susceptibility chi(N, lam); memoized for sweep reuse."""
-    return _chi_finite_cached(int(n_sites), float(lam))
+    """Closed-form susceptibility chi(N, lam), memoized on the validated ChainSpec."""
+    return _chi_finite_cached(ChainSpec(n_sites, lam))
 
 
 def susceptibility_thermo(lam: float) -> float:

@@ -48,6 +48,15 @@ LOG_SQUARED_AMPLITUDE = (27.0 * math.pi**4 - 144.0 * math.pi**2 - 1024.0) / (
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Fixed settings of the collapse: the window in w = N (lam - lam_m) and its
+# samples per size, the x grid of collapse_quality, and the exponent range and
+# final bracket width of best_collapse_exponent.
+_COLLAPSE_WINDOW = (-10.0, 10.0)
+_COLLAPSE_POINTS = 41
+_QUALITY_GRID_POINTS = 101
+_NU_BOUNDS = (0.5, 2.0)
+_NU_TOL = 1e-3
+
 
 class PeakSearchError(ValueError):
     """No certified interior maximum; scan data attached for inspection."""
@@ -71,10 +80,10 @@ class PeakRecord:
 class ScalingFit:
     """Fitted slope/intercept with quality measure and named constants.
 
-    ``model`` is one of "sqrt_chi_vs_lnN", "chi_vs_sq_log_lambda", or
-    "collapse".  For the squared-log model a (x + d1)^2 + d2 the amplitude
-    a is stored as ``slope`` and the additive constant d2 as ``intercept``.
-    Fits with r^2 < 0.99 carry ``flagged=True`` rather than being rejected.
+    ``model`` is "sqrt_chi_vs_lnN" or "chi_vs_sq_log_lambda".  For the
+    squared-log model a (x + d1)^2 + d2 the amplitude a is stored as
+    ``slope`` and the additive constant d2 as ``intercept``.  Fits with
+    r^2 < 0.99 carry ``flagged=True`` rather than being rejected.
     """
 
     slope: float
@@ -107,14 +116,13 @@ def find_peak(
     n_sites: int,
     bracket: tuple[float, float] = (0.8, 1.1),
     scan_points: int = 41,
-    tol: float = 1e-8,
 ) -> PeakRecord:
     """Locate the susceptibility peak of an N-site chain within ``bracket``.
 
     A coarse scan certifies unimodality (strict rise then strict fall) and
     brackets the maximum, which golden-section search then refines until the
-    bracket is narrower than ``tol``.  The returned record is re-certified
-    as a local maximum against lam_m +- 1e-6.
+    bracket is narrower than 1e-8, the ``golden_section_max`` default.  The
+    returned record is re-certified as a local maximum against lam_m +- 1e-6.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -135,7 +143,7 @@ def find_peak(
         )
 
     lam_m, chi_m = golden_section_max(
-        lambda lam: susceptibility(n_sites, lam), lams[imax - 1], lams[imax + 1], tol
+        lambda lam: susceptibility(n_sites, lam), lams[imax - 1], lams[imax + 1]
     )
     lam_m, chi_m = float(lam_m), float(chi_m)
     if not (0.0 < lam_m < 2.0):
@@ -283,36 +291,22 @@ class CollapseCurve:
         return out
 
 
-def _peaks_for(sizes, peaks=None) -> dict:
-    records = dict(peaks) if peaks else {}
-    for n in sizes:
-        if n not in records:
-            records[n] = find_peak(n)
-    return records
-
-
-def data_collapse(
-    sizes,
-    nu: float = 1.0,
-    window: tuple[float, float] = (-10.0, 10.0),
-    points_per_size: int = 41,
-    peaks=None,
-) -> CollapseCurve:
+def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     """Sample the collapse curves for the given sizes at exponent ``nu``.
 
-    ``window`` is in scaled units w = N (lam - lam_m): each size is sampled
-    on lam = lam_m + w/N, so at nu = 1 every size covers the same x range.
-    Peak records are computed on demand or taken from ``peaks``
-    (a mapping n_sites -> PeakRecord).
+    Each size is sampled at 41 offsets w = N (lam - lam_m) evenly spaced on
+    [-10, 10], at x = N^(nu-1) w, so at nu = 1 every size covers the same x
+    range.  Peak records are taken from ``peaks`` (a mapping n_sites ->
+    PeakRecord) or computed for the sizes it lacks.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
         raise ValueError("need at least one size")
-    records = _peaks_for(sizes, peaks)
-    offsets = np.linspace(window[0], window[1], points_per_size)
+    peaks = peaks or {}
+    offsets = np.linspace(*_COLLAPSE_WINDOW, _COLLAPSE_POINTS)
     points = []
     for n in sizes:
-        rec = records[n]
+        rec = peaks[n] if n in peaks else find_peak(n)
         sqrt_peak = math.sqrt(rec.chi_m)
         scale = float(n) ** (nu - 1.0)
         for w in offsets:
@@ -322,14 +316,14 @@ def data_collapse(
     return CollapseCurve(points=tuple(points), nu=float(nu))
 
 
-def collapse_quality(curve: CollapseCurve, grid_points: int = 101) -> float:
+def collapse_quality(curve: CollapseCurve) -> float:
     """Mean pairwise spread of the curves at matched x, relative to the
     swing of their mean.
 
-    Curves are compared on the common x window via monotone piecewise-cubic
-    interpolation (no overshoot).  Identical curves give 0; two curves a
-    constant 0.1 apart on a unit-swing shape give 0.1.  A single size gives
-    0 (nothing to mismatch); an empty overlap window raises ValueError.
+    Curves are compared at 101 evenly spaced x of their common window, by
+    monotone piecewise-cubic interpolation (no overshoot).  Identical curves
+    give 0, and so does a single size; two curves a constant 0.1 apart on a
+    unit-swing shape give 0.1.  An empty overlap window raises ValueError.
     """
     branches = curve.by_size()
     if len(branches) < 2:
@@ -338,7 +332,7 @@ def collapse_quality(curve: CollapseCurve, grid_points: int = 101) -> float:
     hi = min(xs[-1] for xs, _ in branches.values())
     if lo >= hi:
         raise ValueError(f"empty overlap window: [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
     interpolated = np.array(
         [PchipInterpolator(xs, ys)(grid) for xs, ys in branches.values()]
     )
@@ -357,23 +351,19 @@ def collapse_quality(curve: CollapseCurve, grid_points: int = 101) -> float:
     return mean_spread / swing
 
 
-def best_collapse_exponent(
-    sizes,
-    bounds: tuple[float, float] = (0.5, 2.0),
-    tol: float = 1e-3,
-    peaks=None,
-) -> float:
-    """Exponent minimizing the collapse quality metric over ``bounds``.
+def best_collapse_exponent(sizes, peaks=None) -> float:
+    """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    Golden-section search; the peak records are shared across evaluations,
-    and the sampled couplings do not depend on nu, so repeated evaluations
-    reuse cached susceptibilities.
+    The curves are sampled once, at nu = 1 where x = w.  Each trial exponent
+    rescales that sampling to x = N^(nu-1) w, the same floats data_collapse
+    computes at that nu, so the chain is not resampled.  Golden-section
+    search stops at a bracket narrower than 1e-3.
     """
-    sizes = sorted(set(int(n) for n in sizes))
-    records = _peaks_for(sizes, peaks)
+    sampled = data_collapse(sizes, peaks=peaks)
 
     def quality(nu: float) -> float:
-        return collapse_quality(data_collapse(sizes, nu=nu, peaks=records))
+        points = tuple((w * float(n) ** (nu - 1.0), y, n) for w, y, n in sampled.points)
+        return collapse_quality(CollapseCurve(points=points, nu=nu))
 
-    nu_best, _ = golden_section_max(lambda nu: -quality(nu), bounds[0], bounds[1], tol)
+    nu_best, _ = golden_section_max(lambda nu: -quality(nu), *_NU_BOUNDS, _NU_TOL)
     return nu_best

@@ -135,7 +135,7 @@ def test_criterion_7_data_collapse():
     sizes = (512, 1024, 2048, 4096)
     peaks = {n: find_peak(n) for n in sizes}
     quality = collapse_quality(data_collapse(sizes, nu=1.0, peaks=peaks))
-    nu_best = best_collapse_exponent(sizes, bounds=(0.5, 2.0), peaks=peaks)
+    nu_best = best_collapse_exponent(sizes, peaks=peaks)
     ok = quality <= 0.05 and 0.9 <= nu_best <= 1.1
     report(7, "data collapse", ok,
            f"quality at nu=1 is {quality:.4f} <= 0.05, argmin nu = {nu_best:.3f} "

@@ -166,6 +166,8 @@ def test_thermo_critical_row_flagged(capsys):
     ["sweep", "--sizes", "12", "--lambda-min", "1.2", "--lambda-max", "0.8"],
     ["sweep", "--sizes", "12", "--steps", "0"],
     ["sweep", "--sizes", ""],
+    ["sweep", "--sizes", "64", "--steps", "3", "--verify", "--delta", "0.5"],
+    ["sweep", "--sizes", "64", "--steps", "3", "--verify", "--delta", "nan"],
 ])
 def test_usage_errors_exit_two(args, capsys):
     code, _, err = run_cli(args, capsys)

@@ -59,6 +59,12 @@ class TestClosedForm:
         for lam in np.linspace(0.05, 3.0, 30):
             assert susceptibility(n, float(lam)) >= 0.0
 
+    @pytest.mark.parametrize("n,lam", [(1024.5, 1.0), ("1024", 1.0), (1024, "1.0")],
+                             ids=["float_n", "str_n", "str_lam"])
+    def test_susceptibility_validates_like_chain_spec(self, n, lam):
+        with pytest.raises(ValueError):
+            susceptibility(n, lam)
+
     def test_peak_sharpens_and_moves_toward_critical(self):
         lams = np.linspace(0.8, 1.2, 81)
         heights, positions = [], []

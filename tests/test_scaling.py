@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tfim_rfs.scaling
 from tfim_rfs import (
     LOG_SQUARED_AMPLITUDE,
     CollapseCurve,
@@ -218,3 +219,22 @@ class TestDataCollapse:
     def test_exponent_recovery(self, collapse_peaks):
         nu = best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert 0.9 <= nu <= 1.1
+
+    def test_exponent_search_samples_once(self, collapse_peaks, monkeypatch):
+        calls = []
+
+        def counted(n, lam):
+            calls.append((n, lam))
+            return susceptibility(n, lam)
+
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility", counted)
+        best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
+        assert len(calls) == len(COLLAPSE_SIZES) * 41
+
+    @pytest.mark.parametrize("nu", [0.5, 0.75, 1.5, 2.0])
+    def test_rescaled_unit_sampling_is_exact(self, nu, collapse_peaks):
+        # best_collapse_exponent relies on this: rescaling the nu = 1 sampling
+        # gives bitwise the points that sampling at nu gives.
+        unit = data_collapse(COLLAPSE_SIZES, nu=1.0, peaks=collapse_peaks)
+        rescaled = tuple((w * float(n) ** (nu - 1.0), y, n) for w, y, n in unit.points)
+        assert rescaled == data_collapse(COLLAPSE_SIZES, nu=nu, peaks=collapse_peaks).points
