@@ -26,6 +26,7 @@ from .exact import ChainSpec, correlators_finite, correlators_thermo
 from .rdm import build_rdm
 from .rfs import _DELTA_MAX, _DELTA_MIN, SingularBlockError, rfs_closed_form, rfs_oracle
 from .scaling import (
+    _PEAK_BRACKET,
     LOG_SQUARED_AMPLITUDE,
     PeakSearchError,
     collapse_quality,
@@ -37,7 +38,6 @@ from .scaling import (
 __all__ = ["RunConfig", "main", "entry_point"]
 
 _FORMATS = ("csv", "json")
-_BRACKET_DEFAULT = (0.8, 1.1)
 
 
 class UsageError(ValueError):
@@ -72,6 +72,8 @@ class RunConfig:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
         if not _DELTA_MIN <= self.delta <= _DELTA_MAX:
             raise UsageError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {self.delta}")
+        if not math.isfinite(self.nu):
+            raise UsageError(f"nu must be finite, got {self.nu}")
         if self.output_format not in _FORMATS:
             raise UsageError(f"format must be csv or json, got {self.output_format!r}")
 
@@ -161,7 +163,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (increasing precedence)."""
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if _COMMANDS[args.command][2]:
-        merged["lambda_min"], merged["lambda_max"] = _BRACKET_DEFAULT
+        merged["lambda_min"], merged["lambda_max"] = _PEAK_BRACKET
     if args.config is not None:
         merged.update(load_config_file(args.config))
     for key, (parse, _, _) in _OPTIONS.items():
@@ -296,7 +298,8 @@ def cmd_collapse(cfg: RunConfig):
     curve = data_collapse(cfg.sizes, nu=cfg.nu, peaks=records)
     quality = collapse_quality(curve)
     columns = ["n_sites", "x", "y"]
-    rows = [{"n_sites": n, "x": x, "y": y} for x, y, n in curve.points]
+    rows = [{"n_sites": n, "x": x, "y": y}
+            for n, (xs, ys) in curve.by_size().items() for x, y in zip(xs.tolist(), ys.tolist())]
     return columns, rows, {"nu": cfg.nu, "collapse_quality": quality}
 
 
@@ -322,7 +325,7 @@ def cmd_thermo(cfg: RunConfig):
 
 
 # name: (handler, help, whether lambda_min..lambda_max is a peak-search bracket,
-# which then defaults to _BRACKET_DEFAULT).
+# which then defaults to find_peak's _PEAK_BRACKET).
 _COMMANDS = {
     "correlators": (cmd_correlators,
                     "magnetization and neighbour correlators on an (N, lambda) grid", False),

@@ -98,7 +98,7 @@ class CorrelatorSet:
     correlator satisfies zz = sz^2 - xx yy identically.  ``regime`` is
     "finite" (with ``n_sites`` set) or "thermodynamic"; at the critical
     coupling in the thermodynamic limit the derivatives diverge and are
-    reported as signed infinities with ``derivatives_divergent`` set.
+    reported as signed infinities, which ``derivatives_divergent`` reads.
     """
 
     sz: float
@@ -112,7 +112,6 @@ class CorrelatorSet:
     regime: str
     n_sites: int | None = None
     lam: float | None = None
-    derivatives_divergent: bool = False
 
     def __post_init__(self):
         if self.regime not in ("finite", "thermodynamic"):
@@ -122,10 +121,11 @@ class CorrelatorSet:
             raise ValueError(f"correlator magnitudes must be <= 1, got {values}")
         if abs(self.zz - (self.sz * self.sz - self.xx * self.yy)) > 1e-12:
             raise ValueError("zz does not satisfy zz = sz^2 - xx*yy")
-        if not self.derivatives_divergent:
-            derivs = (self.d_sz, self.d_xx, self.d_yy, self.d_zz)
-            if any(not math.isfinite(d) for d in derivs):
-                raise ValueError(f"non-finite derivatives {derivs} without divergence flag")
+
+    @property
+    def derivatives_divergent(self) -> bool:
+        """True when any derivative is not finite."""
+        return not all(math.isfinite(d) for d in (self.d_sz, self.d_xx, self.d_yy, self.d_zz))
 
 
 def momentum_grid(spec: ChainSpec) -> np.ndarray:
@@ -211,7 +211,7 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
     k < 1 on both sides of the critical point, so lam < 1 and lam > 1 share
     this code path.  At lam = 1 exactly the correlators take their critical
     values and the derivatives diverge logarithmically; they are returned as
-    signed infinities with the divergence flag set.
+    signed infinities, so ``derivatives_divergent`` is true.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -226,7 +226,7 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
         return CorrelatorSet(
             _CRITICAL_SZ, _CRITICAL_XX, _CRITICAL_YY, _CRITICAL_ZZ,
             -math.inf, math.inf, math.inf, -math.inf,
-            regime="thermodynamic", lam=lam, derivatives_divergent=True,
+            regime="thermodynamic", lam=lam,
         )
 
     sqrt_lam = math.sqrt(lam)

@@ -30,10 +30,6 @@ __all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm", "rdm_blocks"]
 # enough to catch genuine formula bugs.
 _PSD_TOL = 1e-10
 
-# Block determinants or traces at or below this are treated as singular
-# (the closed-form susceptibility needs det != 0 and tr != 0).
-_SINGULAR_TOL = 1e-12
-
 
 class ConsistencyError(RuntimeError):
     """An internally computed quantity violated a structural invariant."""
@@ -43,10 +39,10 @@ class ConsistencyError(RuntimeError):
 class TwoSiteRdm:
     """Block elements of the two-site RDM and their lam-derivatives.
 
-    ``degenerate`` flags an accepted-but-singular matrix (e.g. the product
-    state at lam = 0, where the second block vanishes); the closed-form
-    susceptibility rejects such inputs and callers must use the fidelity
-    oracle or keep lam away from zero.
+    A matrix that passes ``build_rdm``'s positivity check may still have a
+    singular block (e.g. the product state at lam = 0, where the second block
+    vanishes); ``rfs_closed_form`` rejects it from the block determinants, and
+    callers then use the fidelity oracle or keep lam away from zero.
     """
 
     u_plus: float
@@ -59,7 +55,6 @@ class TwoSiteRdm:
     d_w: float
     d_z_plus: float
     d_z_minus: float
-    degenerate: bool = False
 
 
 def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
@@ -93,12 +88,9 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
             "constructed RDM is not positive semidefinite: "
             f"u+={u_plus:.3e} u-={u_minus:.3e} w={w:.3e} det1={det1:.3e} det2={det2:.3e}"
         )
-
-    degenerate = min(det1, det2, u_plus + u_minus, 2.0 * w) <= _SINGULAR_TOL
     return TwoSiteRdm(
         u_plus, u_minus, w, z_plus, z_minus,
         d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus,
-        degenerate=degenerate,
     )
 
 

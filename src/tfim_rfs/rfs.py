@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ChainSpec, correlators_finite, correlators_thermo
-from .rdm import _SINGULAR_TOL, ConsistencyError, TwoSiteRdm, build_rdm
+from .rdm import ConsistencyError, TwoSiteRdm, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -48,6 +48,10 @@ __all__ = [
 # Eigenvalues above this (negative) threshold are roundoff and are clamped
 # to zero; anything below it is a genuine positivity violation.
 _EIG_TOL = -1e-12
+
+# Block determinants or traces at or below this are treated as singular
+# (the closed-form susceptibility needs det != 0 and tr != 0).
+_SINGULAR_TOL = 1e-12
 
 _DELTA_MIN, _DELTA_MAX = 1e-6, 1e-3
 
@@ -107,10 +111,13 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
 
     The generic block formula (``block_susceptibility``) is not evaluated
     here; it is the reference the tests hold these expressions to.
+
+    Raises SingularBlockError when det_i <= 1e-12; past ``build_rdm``'s
+    positivity check, det_i > 1e-12 already forces tr_i > 2e-6.
     """
     det1 = rho.u_plus * rho.u_minus - rho.z_minus * rho.z_minus
     det2 = rho.w * rho.w - rho.z_plus * rho.z_plus
-    if rho.degenerate or min(det1, det2) <= _SINGULAR_TOL:
+    if min(det1, det2) <= _SINGULAR_TOL:
         raise SingularBlockError(
             f"singular block (det1={det1:.3e}, det2={det2:.3e}); "
             "use the fidelity oracle instead"

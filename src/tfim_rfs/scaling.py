@@ -19,7 +19,7 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -47,6 +47,7 @@ LOG_SQUARED_AMPLITUDE = (27.0 * math.pi**4 - 144.0 * math.pi**2 - 1024.0) / (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_BRACKET = (0.8, 1.1)  # default lam bracket of find_peak
 
 # Fixed settings of the collapse: the window in w = N (lam - lam_m) and its
 # samples per size, the x grid of collapse_quality, and the exponent range and
@@ -82,8 +83,8 @@ class ScalingFit:
 
     ``model`` is "sqrt_chi_vs_lnN" or "chi_vs_sq_log_lambda".  For the
     squared-log model a (x + d1)^2 + d2 the amplitude a is stored as
-    ``slope`` and the additive constant d2 as ``intercept``.  Fits with
-    r^2 < 0.99 carry ``flagged=True`` rather than being rejected.
+    ``slope`` and the additive constant d2 as ``intercept``.  A poor fit is
+    returned, not rejected; ``flagged`` reports it.
     """
 
     slope: float
@@ -91,7 +92,11 @@ class ScalingFit:
     r_squared: float
     model: str
     params: dict = field(default_factory=dict)
-    flagged: bool = False
+
+    @property
+    def flagged(self) -> bool:
+        """True when r^2 < 0.99."""
+        return self.r_squared < 0.99
 
 
 def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-8):
@@ -114,7 +119,7 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-8):
 
 def find_peak(
     n_sites: int,
-    bracket: tuple[float, float] = (0.8, 1.1),
+    bracket: tuple[float, float] = _PEAK_BRACKET,
     scan_points: int = 41,
 ) -> PeakRecord:
     """Locate the susceptibility peak of an N-site chain within ``bracket``.
@@ -189,7 +194,7 @@ def fit_finite_size(peaks) -> ScalingFit:
     }
     return ScalingFit(
         slope=float(slope), intercept=float(intercept), r_squared=r_sq,
-        model="sqrt_chi_vs_lnN", params=params, flagged=r_sq < 0.99,
+        model="sqrt_chi_vs_lnN", params=params,
     )
 
 
@@ -263,7 +268,7 @@ def fit_thermo(lambdas) -> ScalingFit:
     }
     return ScalingFit(
         slope=a, intercept=d2, r_squared=r_sq,
-        model="chi_vs_sq_log_lambda", params=params, flagged=r_sq < 0.99,
+        model="chi_vs_sq_log_lambda", params=params,
     )
 
 
@@ -271,32 +276,27 @@ def fit_thermo(lambdas) -> ScalingFit:
 class CollapseCurve:
     """Scaled susceptibility curves for several sizes.
 
-    ``points`` holds (x, y, n_sites) tuples with x = N^nu (lam - lam_m) and
-    y = sqrt(chi_m) - sqrt(chi(lam)); at nu = 1 the curves for different
-    sizes trace one universal function.
+    ``samples`` maps each size N to (w, y) arrays: ascending offsets
+    w = N (lam - lam_m) and y = sqrt(chi_m) - sqrt(chi(lam)).  ``by_size``
+    derives x = N^nu (lam - lam_m) = N^(nu-1) w, so ``replace(curve, nu=...)``
+    rescales without resampling.  At nu = 1 the sizes trace one function.
     """
 
-    points: tuple
+    samples: dict
     nu: float
 
     def by_size(self) -> dict:
-        """Per-size (x, y) arrays, x ascending."""
-        sizes = sorted({p[2] for p in self.points})
-        out = {}
-        for n in sizes:
-            branch = sorted((p[0], p[1]) for p in self.points if p[2] == n)
-            xs = np.array([b[0] for b in branch])
-            ys = np.array([b[1] for b in branch])
-            out[n] = (xs, ys)
-        return out
+        """Per-size (x, y) arrays, sizes and x ascending."""
+        return {n: (w * float(n) ** (self.nu - 1.0), y)
+                for n, (w, y) in sorted(self.samples.items())}
 
 
 def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     """Sample the collapse curves for the given sizes at exponent ``nu``.
 
     Each size is sampled at 41 offsets w = N (lam - lam_m) evenly spaced on
-    [-10, 10], at x = N^(nu-1) w, so at nu = 1 every size covers the same x
-    range.  Peak records are taken from ``peaks`` (a mapping n_sites ->
+    [-10, 10], the same for every size; ``nu`` only sets how the curve scales
+    them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.
     """
     sizes = sorted(set(int(n) for n in sizes))
@@ -304,16 +304,13 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
         raise ValueError("need at least one size")
     peaks = peaks or {}
     offsets = np.linspace(*_COLLAPSE_WINDOW, _COLLAPSE_POINTS)
-    points = []
+    samples = {}
     for n in sizes:
         rec = peaks[n] if n in peaks else find_peak(n)
         sqrt_peak = math.sqrt(rec.chi_m)
-        scale = float(n) ** (nu - 1.0)
-        for w in offsets:
-            lam = rec.lambda_m + w / n
-            y = sqrt_peak - math.sqrt(susceptibility(n, lam))
-            points.append((float(w * scale), float(y), n))
-    return CollapseCurve(points=tuple(points), nu=float(nu))
+        ys = [sqrt_peak - math.sqrt(susceptibility(n, rec.lambda_m + w / n)) for w in offsets]
+        samples[n] = (offsets, np.array(ys))
+    return CollapseCurve(samples=samples, nu=float(nu))
 
 
 def collapse_quality(curve: CollapseCurve) -> float:
@@ -354,16 +351,11 @@ def collapse_quality(curve: CollapseCurve) -> float:
 def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    The curves are sampled once, at nu = 1 where x = w.  Each trial exponent
-    rescales that sampling to x = N^(nu-1) w, the same floats data_collapse
-    computes at that nu, so the chain is not resampled.  Golden-section
+    The curves are sampled once; each trial exponent is the same sampling
+    with its ``nu`` replaced, so the chain is not resampled.  Golden-section
     search stops at a bracket narrower than 1e-3.
     """
     sampled = data_collapse(sizes, peaks=peaks)
-
-    def quality(nu: float) -> float:
-        points = tuple((w * float(n) ** (nu - 1.0), y, n) for w, y, n in sampled.points)
-        return collapse_quality(CollapseCurve(points=points, nu=nu))
-
-    nu_best, _ = golden_section_max(lambda nu: -quality(nu), *_NU_BOUNDS, _NU_TOL)
+    nu_best, _ = golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
+                                    *_NU_BOUNDS, _NU_TOL)
     return nu_best

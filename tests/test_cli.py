@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +177,19 @@ def test_thermo_critical_row_flagged(capsys):
 def test_usage_errors_exit_two(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nu_must_be_finite(value):
+    # A separate process, so that warnings printed before the error reach stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfim_rfs.cli", "collapse", "--sizes", "64,128,256",
+         "--nu", value],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and re.search(r"\bnu\b", proc.stderr)
 
 
 def test_unknown_command_exits_two(capsys):

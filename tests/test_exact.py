@@ -10,6 +10,7 @@ import tfim_rfs.exact
 from tfim_rfs import (
     ChainSpec,
     CorrelatorSet,
+    build_rdm,
     correlators_finite,
     correlators_thermo,
     dispersion,
@@ -286,8 +287,13 @@ class TestCorrelatorSetValidation:
             CorrelatorSet(0.5, 0.1, 0.1, 0.9, 0, 0, 0, 0, regime="finite")
 
     def test_unflagged_infinite_derivative(self):
+        # Nothing flags a divergence: an infinite derivative is read off the
+        # values, and no finite derivative matrix is built from it.
+        c = CorrelatorSet(0.5, 0.1, 0.1, 0.24, math.inf, 0, 0, 0, regime="finite")
+        assert c.derivatives_divergent
         with pytest.raises(ValueError):
-            CorrelatorSet(0.5, 0.1, 0.1, 0.24, math.inf, 0, 0, 0, regime="finite")
+            build_rdm(c)
+        assert correlators_thermo(1.0).derivatives_divergent
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):

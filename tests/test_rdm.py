@@ -7,9 +7,11 @@ from tfim_rfs import (
     ChainSpec,
     ConsistencyError,
     CorrelatorSet,
+    SingularBlockError,
     build_rdm,
     correlators_finite,
     rdm_blocks,
+    rfs_closed_form,
 )
 
 
@@ -25,7 +27,8 @@ class TestBuildRdm:
         assert rho.w == pytest.approx(0.0, abs=1e-14)
         assert rho.z_plus == pytest.approx(0.0, abs=1e-14)
         assert rho.z_minus == pytest.approx(0.0, abs=1e-14)
-        assert rho.degenerate
+        with pytest.raises(SingularBlockError):
+            rfs_closed_form(rho)
 
     def test_critical_elements(self):
         rho = rdm_at(2 ** 14, 1.0)
@@ -50,7 +53,7 @@ class TestBuildRdm:
         (b1, _), (b2, _) = rdm_blocks(rho)
         eigs = np.concatenate([np.linalg.eigvalsh(b1), np.linalg.eigvalsh(b2)])
         assert eigs.min() >= 1e-6
-        assert not rho.degenerate
+        assert rfs_closed_form(rho).chi > 0.0
 
     def test_positivity_violation_rejected(self):
         # magnitudes are legal but u_minus = (1 - 2 sz + zz)/4 goes negative

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tfim_rfs import (
     CollapseCurve,
     PeakRecord,
     PeakSearchError,
+    ScalingFit,
     best_collapse_exponent,
     collapse_quality,
     data_collapse,
@@ -77,6 +79,11 @@ class TestFitFiniteSize:
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ValueError):
             fit_finite_size([PeakRecord(64, 0.97, 2.0), PeakRecord(64, 0.97, 2.0)])
+
+    @pytest.mark.parametrize("r_squared,flagged", [(0.98, True), (0.99, False)])
+    def test_flagged_below_threshold(self, r_squared, flagged):
+        fit = ScalingFit(slope=0.4, intercept=1.0, r_squared=r_squared, model="sqrt_chi_vs_lnN")
+        assert fit.flagged is flagged
 
 
 class TestFitThermo:
@@ -178,20 +185,20 @@ class TestDataCollapse:
     def test_constant_offset_definition(self):
         # two curves of unit swing offset by 0.1 -> quality 0.1
         xs = np.linspace(-1.0, 1.0, 21)
-        points = [(float(x), float(x ** 2), 64) for x in xs]
-        points += [(float(x), float(x ** 2) + 0.1, 128) for x in xs]
-        assert collapse_quality(CollapseCurve(points=tuple(points), nu=1.0)) \
+        samples = {64: (xs, xs ** 2), 128: (xs, xs ** 2 + 0.1)}
+        assert collapse_quality(CollapseCurve(samples=samples, nu=1.0)) \
             == pytest.approx(0.1, rel=1e-12)
 
     def test_identical_curves_give_zero(self):
         xs = np.linspace(-1.0, 1.0, 21)
-        points = [(float(x), float(x ** 2), n) for n in (64, 128) for x in xs]
-        assert collapse_quality(CollapseCurve(points=tuple(points), nu=1.0)) == 0.0
+        samples = {n: (xs, xs ** 2) for n in (64, 128)}
+        assert collapse_quality(CollapseCurve(samples=samples, nu=1.0)) == 0.0
 
     def test_empty_overlap_raises(self):
-        points = ((0.0, 0.0, 64), (1.0, 1.0, 64), (5.0, 0.0, 128), (6.0, 1.0, 128))
+        samples = {64: (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                   128: (np.array([5.0, 6.0]), np.array([0.0, 1.0]))}
         with pytest.raises(ValueError):
-            collapse_quality(CollapseCurve(points=points, nu=1.0))
+            collapse_quality(CollapseCurve(samples=samples, nu=1.0))
 
     def test_unit_exponent_collapses(self, collapse_peaks):
         curve = data_collapse(COLLAPSE_SIZES, nu=1.0, peaks=collapse_peaks)
@@ -233,8 +240,12 @@ class TestDataCollapse:
 
     @pytest.mark.parametrize("nu", [0.5, 0.75, 1.5, 2.0])
     def test_rescaled_unit_sampling_is_exact(self, nu, collapse_peaks):
-        # best_collapse_exponent relies on this: rescaling the nu = 1 sampling
-        # gives bitwise the points that sampling at nu gives.
-        unit = data_collapse(COLLAPSE_SIZES, nu=1.0, peaks=collapse_peaks)
-        rescaled = tuple((w * float(n) ** (nu - 1.0), y, n) for w, y, n in unit.points)
-        assert rescaled == data_collapse(COLLAPSE_SIZES, nu=nu, peaks=collapse_peaks).points
+        # best_collapse_exponent relies on this: the nu = 1 sampling with nu
+        # replaced gives bitwise the curves that sampling at nu gives.
+        unit = data_collapse(COLLAPSE_SIZES, peaks=collapse_peaks)
+        rescaled = replace(unit, nu=nu).by_size()
+        sampled = data_collapse(COLLAPSE_SIZES, nu=nu, peaks=collapse_peaks).by_size()
+        assert list(rescaled) == list(sampled) == list(COLLAPSE_SIZES)
+        for n in COLLAPSE_SIZES:
+            for got, expected in zip(rescaled[n], sampled[n]):
+                np.testing.assert_array_equal(got, expected)
