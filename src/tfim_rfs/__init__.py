@@ -25,6 +25,7 @@ from .rfs import (
     rfs_closed_form,
     rfs_oracle,
     susceptibility,
+    susceptibility_slope,
     susceptibility_thermo,
     uhlmann_fidelity,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "rfs_closed_form",
     "rfs_oracle",
     "susceptibility",
+    "susceptibility_slope",
     "susceptibility_thermo",
     "uhlmann_fidelity",
 ]

@@ -101,7 +101,8 @@ _OPTIONS = {
               "comma-separated even chain sizes, e.g. 512,1024"),
     "lambda_min": (float, 0.8, None),
     "lambda_max": (float, 1.2, None),
-    "steps": (int, 41, "grid points between lambda-min and lambda-max"),
+    "steps": (int, 41, "grid points between lambda-min and lambda-max "
+                       "(unused by peak, scaling and collapse)"),
     "delta": (float, 1e-4, "oracle base step (default 1e-4)"),
     "nu": (float, 1.0, "collapse exponent (default 1)"),
     "verify": (_parse_bool, False, "run the fidelity oracle alongside the closed form"),
@@ -242,8 +243,7 @@ def _peaks(cfg: RunConfig, minimum: int | None = None):
     peaks, failures = [], []
     for n in cfg.sizes:
         try:
-            peaks.append(find_peak(n, bracket=(cfg.lambda_min, cfg.lambda_max),
-                                   scan_points=cfg.steps))
+            peaks.append(find_peak(n, bracket=(cfg.lambda_min, cfg.lambda_max)))
         except PeakSearchError as exc:
             failures.append(f"N={n}: {exc}")
     if minimum is None and failures:

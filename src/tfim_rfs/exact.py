@@ -12,6 +12,8 @@ Two evaluation regimes are provided:
 
 * ``correlators_finite`` -- the exact momentum sums for a chain of N sites,
   with per-mode analytic lam-derivatives (quotient rule on each summand).
+  The peak search also needs second lam-derivatives; ``_finite_curvature``
+  adds them from the same per-mode arrays.
 * ``correlators_thermo`` -- the N -> infinity limit, where the sums become
   complete elliptic integrals of modulus k = 2 sqrt(lam) / (1 + lam);
   derivatives follow from dK/dk = [E/(1-k^2) - K]/k and dE/dk = (E - K)/k
@@ -154,6 +156,49 @@ def _half_angle_table(n_sites: int) -> np.ndarray:
     return s
 
 
+def _mode_terms(spec: ChainSpec):
+    """Per-mode arrays shared by the finite sums: s, 1 - lam, 1/omega and sin^2(phi)/omega^3.
+
+    Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
+    about 1.34e154, where omega would be infinite and every correlator 0) or
+    omega vanishes in floating point.
+    """
+    n, lam = spec.n_sites, spec.lam
+    s = _half_angle_table(n)
+    gap = 1.0 - lam
+    gap_sq = gap * gap
+    if math.isinf(gap_sq):
+        raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
+    omega = np.sqrt(gap_sq + 4.0 * lam * s)
+    # omega >= 2 sqrt(lam) sin(pi/2N) > 0 on the half-odd grid; this guards the
+    # quotients below against a zero table entry.
+    if float(np.min(omega)) <= 0.0:
+        raise ValueError(f"dispersion vanishes in floating point at N={n}, lam={lam}")
+    inv = 1.0 / omega
+    return s, gap, inv, 4.0 * s * (1.0 - s) * inv * inv * inv
+
+
+def _sum_correlators(spec: ChainSpec, terms) -> CorrelatorSet:
+    """The momentum sums of ``correlators_finite`` over the ``_mode_terms`` arrays."""
+    s, gap, inv, sin_sq_inv3 = terms
+    lam = spec.lam
+    half = len(s)
+
+    sz = float(np.sum((gap + 2.0 * lam * s) * inv)) / half
+    xx = float(np.sum((2.0 * s - gap) * inv)) / half
+    yy = float(np.sum((2.0 * s * (1.0 - 4.0 * lam * (1.0 - s)) - gap) * inv)) / half
+    d_xx = float(np.sum(sin_sq_inv3)) / half
+    d_yy = float(np.sum((2.0 * lam * (1.0 - 2.0 * s) - 1.0) * sin_sq_inv3)) / half
+    d_sz = -lam * d_xx
+
+    zz = sz * sz - xx * yy
+    d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
+    return CorrelatorSet(
+        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz,
+        regime="finite", n_sites=spec.n_sites, lam=lam,
+    )
+
+
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
     """Exact correlators of an N-site ring at coupling lam.
 
@@ -168,33 +213,35 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
         d yy = sin^2 phi (2 lam cos phi - 1) / omega^3,
     with d zz from the product rule.  With s = sin^2(phi/2), cos phi = 1 - 2s,
     sin^2 phi = 4s(1 - s) and lam cos 2phi - cos phi = (lam - 1) + 2s(1 - 4 lam (1 - s));
-    the sums are pairwise means over the N/2 positive momenta.
+    the sums are pairwise means over the N/2 positive momenta.  Raises
+    ValueError for lam above about 1.34e154, where (1 - lam)^2 overflows.
     """
-    n, lam = spec.n_sites, spec.lam
-    s = _half_angle_table(n)
-    gap = 1.0 - lam
-    omega = np.sqrt(gap * gap + 4.0 * lam * s)
-    # omega >= 2 sqrt(lam) sin(pi/2N) > 0 on the half-odd grid; this guards the
-    # quotients below against a zero table entry.
-    if float(np.min(omega)) <= 0.0:
-        raise ValueError(f"dispersion vanishes in floating point at N={n}, lam={lam}")
-    inv = 1.0 / omega
-    sin_sq_inv3 = 4.0 * s * (1.0 - s) * inv * inv * inv
+    return _sum_correlators(spec, _mode_terms(spec))
+
+
+def _finite_curvature(spec: ChainSpec):
+    """``correlators_finite(spec)`` and the second lam-derivatives
+    (d2_sz, d2_xx, d2_yy, d2_zz), from one evaluation of the mode terms.
+
+    Differentiating the first-derivative summands once more gives
+        d2 xx = -3 sin^2 phi (2s - (1 - lam)) / omega^5
+        d2 yy = 2 (1 - 2s) sin^2 phi / omega^3 + (2 lam (1 - 2s) - 1) d2 xx,
+    with d2 sz = -d xx - lam d2 xx and d2 zz from the product rule.
+    """
+    terms = _mode_terms(spec)
+    c = _sum_correlators(spec, terms)
+    s, gap, inv, sin_sq_inv3 = terms
+    lam = spec.lam
     half = len(s)
-
-    sz = float(np.sum((gap + 2.0 * lam * s) * inv)) / half
-    xx = float(np.sum((2.0 * s - gap) * inv)) / half
-    yy = float(np.sum((2.0 * s * (1.0 - 4.0 * lam * (1.0 - s)) - gap) * inv)) / half
-    d_xx = float(np.sum(sin_sq_inv3)) / half
-    d_yy = float(np.sum((2.0 * lam * (1.0 - 2.0 * s) - 1.0) * sin_sq_inv3)) / half
-    d_sz = -lam * d_xx
-
-    zz = sz * sz - xx * yy
-    d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(
-        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz,
-        regime="finite", n_sites=n, lam=lam,
-    )
+    cos_phi = 1.0 - 2.0 * s
+    d2xx_terms = -3.0 * (2.0 * s - gap) * sin_sq_inv3 * inv * inv
+    d2_xx = float(np.sum(d2xx_terms)) / half
+    d2_yy = float(np.sum(2.0 * cos_phi * sin_sq_inv3
+                         + (2.0 * lam * cos_phi - 1.0) * d2xx_terms)) / half
+    d2_sz = -c.d_xx - lam * d2_xx
+    d2_zz = (2.0 * (c.d_sz * c.d_sz + c.sz * d2_sz)
+             - d2_xx * c.yy - 2.0 * c.d_xx * c.d_yy - c.xx * d2_yy)
+    return c, (d2_sz, d2_xx, d2_yy, d2_zz)
 
 
 def correlators_thermo(lam: float) -> CorrelatorSet:

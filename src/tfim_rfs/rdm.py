@@ -75,11 +75,9 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     w = (1.0 - c.zz) / 4.0
     z_plus = (c.xx + c.yy) / 4.0
     z_minus = (c.xx - c.yy) / 4.0
-    d_u_plus = (2.0 * c.d_sz + c.d_zz) / 4.0
-    d_u_minus = (-2.0 * c.d_sz + c.d_zz) / 4.0
-    d_w = -c.d_zz / 4.0
-    d_z_plus = (c.d_xx + c.d_yy) / 4.0
-    d_z_minus = (c.d_xx - c.d_yy) / 4.0
+    d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(
+        c.d_sz, c.d_xx, c.d_yy, c.d_zz
+    )
 
     det1 = u_plus * u_minus - z_minus * z_minus
     det2 = w * w - z_plus * z_plus
@@ -91,6 +89,18 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     return TwoSiteRdm(
         u_plus, u_minus, w, z_plus, z_minus,
         d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus,
+    )
+
+
+def _element_derivatives(d_sz, d_xx, d_yy, d_zz):
+    """lam-derivatives (u+, u-, w, z+, z-) of the RDM elements from those of
+    (sz, xx, yy, zz), of any order: the element map is affine."""
+    return (
+        (2.0 * d_sz + d_zz) / 4.0,
+        (-2.0 * d_sz + d_zz) / 4.0,
+        -d_zz / 4.0,
+        (d_xx + d_yy) / 4.0,
+        (d_xx - d_yy) / 4.0,
     )
 
 

@@ -18,6 +18,9 @@ Two independent routes are provided and cross-checked:
   lam + delta, chi = -2 ln F / delta^2, Richardson-extrapolated over the
   step pair {delta, delta/2}.
 
+``susceptibility_slope`` differentiates the closed form once more in lam
+(quotient rule on each block), which is what the peak search solves.
+
 The 4x4 fidelity decomposes over the shared block structure, and for 2x2
 positive blocks admits the closed form
 tr sqrt(sqrt(A) B sqrt(A)) = sqrt(tr(AB) + 2 sqrt(det A det B)), so no
@@ -30,8 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ChainSpec, correlators_finite, correlators_thermo
-from .rdm import ConsistencyError, TwoSiteRdm, build_rdm
+from .exact import ChainSpec, _finite_curvature, correlators_finite, correlators_thermo
+from .rdm import ConsistencyError, TwoSiteRdm, _element_derivatives, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -41,6 +44,7 @@ __all__ = [
     "rfs_closed_form",
     "rfs_oracle",
     "susceptibility",
+    "susceptibility_slope",
     "susceptibility_thermo",
     "uhlmann_fidelity",
 ]
@@ -99,6 +103,19 @@ def block_susceptibility(block, d_block) -> float:
     return (d_tr * d_tr - 4.0 * d_det_matrix + d_det * d_det / det) / (4.0 * tr)
 
 
+def _determinants(rho: TwoSiteRdm):
+    """(det1, d det1, det2, d det2 / 2) of the blocks [[u+, z-], [z-, u-]]
+    and [[w, z+], [z+, w]]."""
+    det1 = rho.u_plus * rho.u_minus - rho.z_minus * rho.z_minus
+    det2 = rho.w * rho.w - rho.z_plus * rho.z_plus
+    d_det1 = (
+        rho.u_minus * rho.d_u_plus + rho.u_plus * rho.d_u_minus
+        - 2.0 * rho.z_minus * rho.d_z_minus
+    )
+    d_half2 = rho.w * rho.d_w - rho.z_plus * rho.d_z_plus
+    return det1, d_det1, det2, d_half2
+
+
 def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
     """Closed-form susceptibility of a block-diagonal two-site RDM.
 
@@ -115,24 +132,18 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
     Raises SingularBlockError when det_i <= 1e-12; past ``build_rdm``'s
     positivity check, det_i > 1e-12 already forces tr_i > 2e-6.
     """
-    det1 = rho.u_plus * rho.u_minus - rho.z_minus * rho.z_minus
-    det2 = rho.w * rho.w - rho.z_plus * rho.z_plus
+    det1, d_det1, det2, d_half2 = _determinants(rho)
     if min(det1, det2) <= _SINGULAR_TOL:
         raise SingularBlockError(
             f"singular block (det1={det1:.3e}, det2={det2:.3e}); "
             "use the fidelity oracle instead"
         )
 
-    d_det1 = (
-        rho.u_minus * rho.d_u_plus + rho.u_plus * rho.d_u_minus
-        - 2.0 * rho.z_minus * rho.d_z_minus
-    )
     chi1 = (
         (rho.d_u_plus - rho.d_u_minus) ** 2
         + 4.0 * rho.d_z_minus ** 2
         + d_det1 * d_det1 / det1
     ) / (4.0 * (rho.u_plus + rho.u_minus))
-    d_half2 = rho.w * rho.d_w - rho.z_plus * rho.d_z_plus
     chi2 = (rho.d_z_plus ** 2 + d_half2 * d_half2 / det2) / (2.0 * rho.w)
 
     chi = chi1 + chi2
@@ -235,6 +246,47 @@ def _chi_finite_cached(spec: ChainSpec) -> float:
 def susceptibility(n_sites: int, lam: float) -> float:
     """Closed-form susceptibility chi(N, lam), memoized on the validated ChainSpec."""
     return _chi_finite_cached(ChainSpec(n_sites, lam))
+
+
+def susceptibility_slope(n_sites: int, lam: float) -> float:
+    """dchi/dlam of the closed-form susceptibility of an N-site ring.
+
+    The quotient rule applied to chi_1 = num_1 / [4 (u+ + u-)] and
+    chi_2 = num_2 / (2 w) of ``rfs_closed_form``, with the second
+    lam-derivatives of the RDM elements taken from the momentum sums.  The
+    point passes the same ChainSpec validation, ``build_rdm`` positivity
+    check and singular-block check as ``susceptibility``.
+    """
+    c, second = _finite_curvature(ChainSpec(n_sites, lam))
+    rho = build_rdm(c)
+    value = rfs_closed_form(rho)
+    det1, d_det1, det2, d_half2 = _determinants(rho)
+    dd_u_plus, dd_u_minus, dd_w, dd_z_plus, dd_z_minus = _element_derivatives(*second)
+
+    dd_det1 = (
+        2.0 * rho.d_u_plus * rho.d_u_minus + rho.u_minus * dd_u_plus
+        + rho.u_plus * dd_u_minus
+        - 2.0 * (rho.d_z_minus * rho.d_z_minus + rho.z_minus * dd_z_minus)
+    )
+    d_num1 = (
+        2.0 * (rho.d_u_plus - rho.d_u_minus) * (dd_u_plus - dd_u_minus)
+        + 8.0 * rho.d_z_minus * dd_z_minus
+        + d_det1 * (2.0 * dd_det1 - d_det1 * d_det1 / det1) / det1
+    )
+    d_chi1 = (
+        (d_num1 - 4.0 * value.chi_block1 * (rho.d_u_plus + rho.d_u_minus))
+        / (4.0 * (rho.u_plus + rho.u_minus))
+    )
+    dd_half2 = (
+        rho.d_w * rho.d_w + rho.w * dd_w
+        - rho.d_z_plus * rho.d_z_plus - rho.z_plus * dd_z_plus
+    )
+    d_num2 = (
+        2.0 * rho.d_z_plus * dd_z_plus
+        + 2.0 * d_half2 * (dd_half2 - d_half2 * d_half2 / det2) / det2
+    )
+    d_chi2 = (d_num2 - 2.0 * value.chi_block2 * rho.d_w) / (2.0 * rho.w)
+    return d_chi1 + d_chi2
 
 
 def susceptibility_thermo(lam: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .rfs import susceptibility, susceptibility_thermo
+from .rfs import susceptibility, susceptibility_slope, susceptibility_thermo
 
 __all__ = [
     "LOG_SQUARED_AMPLITUDE",
@@ -60,7 +60,12 @@ _NU_TOL = 1e-3
 
 
 class PeakSearchError(ValueError):
-    """No certified interior maximum; scan data attached for inspection."""
+    """No certified interior maximum.
+
+    ``lambdas`` holds the bracket ends and ``chis`` the susceptibility there,
+    when the slope of chi does not fall from positive to negative across the
+    bracket; both are None when a later certificate fails.
+    """
 
     def __init__(self, message: str, lambdas=None, chis=None):
         super().__init__(message)
@@ -99,7 +104,7 @@ class ScalingFit:
         return self.r_squared < 0.99
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-8):
+def golden_section_max(fn, lo: float, hi: float, tol: float):
     """Golden-section maximization on [lo, hi]; stops at bracket width <= tol."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -117,40 +122,78 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-8):
     return x, fn(x)
 
 
-def find_peak(
-    n_sites: int,
-    bracket: tuple[float, float] = _PEAK_BRACKET,
-    scan_points: int = 41,
-) -> PeakRecord:
+def _brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of fn between a and b, given fa = fn(a) and fb = fn(b) of opposite signs.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, with a
+    bisection step whenever they would not shrink the bracket fast enough.
+    Runs until the bracket ends are adjacent doubles, or fn is exactly 0, and
+    returns the end with the smaller |fn|.  Each step moves by at least one
+    double, so the loop ends.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or math.nextafter(b, c) == c:
+            return b
+        m = 0.5 * (c - b)
+        step = math.ulp(b)
+        if abs(e) >= step and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b = b + d if abs(d) > step else math.nextafter(b, c)
+        fb = fn(b)
+
+
+def find_peak(n_sites: int, bracket: tuple[float, float] = _PEAK_BRACKET) -> PeakRecord:
     """Locate the susceptibility peak of an N-site chain within ``bracket``.
 
-    A coarse scan certifies unimodality (strict rise then strict fall) and
-    brackets the maximum, which golden-section search then refines until the
-    bracket is narrower than 1e-8, the ``golden_section_max`` default.  The
-    returned record is re-certified as a local maximum against lam_m +- 1e-6.
+    The peak is the root of dchi/dlam (``susceptibility_slope``, in closed
+    form).  The slope must be positive at the lower bracket end and negative
+    at the upper one, or PeakSearchError is raised; Brent's method then
+    narrows the sign change down to adjacent doubles, so the slope falls
+    through zero at lam_m, and chi_m = ``susceptibility(n_sites, lam_m)``.
+    The returned record is re-certified as a local maximum against
+    lam_m +- 1e-6.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid bracket {bracket}")
-    lams = np.linspace(lo, hi, scan_points)
-    chis = np.array([susceptibility(n_sites, lam) for lam in lams])
-    imax = int(np.argmax(chis))
-    if imax == 0 or imax == scan_points - 1:
+
+    def slope(lam):
+        return susceptibility_slope(n_sites, lam)
+
+    slope_lo, slope_hi = slope(lo), slope(hi)
+    if not slope_lo > 0.0 > slope_hi:
         raise PeakSearchError(
             f"no interior maximum of chi in bracket {bracket} for N={n_sites}",
-            lambdas=lams, chis=chis,
+            lambdas=(lo, hi), chis=(susceptibility(n_sites, lo), susceptibility(n_sites, hi)),
         )
-    diffs = np.diff(chis)
-    if not (np.all(diffs[:imax] > 0.0) and np.all(diffs[imax:] < 0.0)):
-        raise PeakSearchError(
-            f"chi is not unimodal on {bracket} for N={n_sites}",
-            lambdas=lams, chis=chis,
-        )
-
-    lam_m, chi_m = golden_section_max(
-        lambda lam: susceptibility(n_sites, lam), lams[imax - 1], lams[imax + 1]
-    )
-    lam_m, chi_m = float(lam_m), float(chi_m)
+    lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
+    chi_m = susceptibility(n_sites, lam_m)
     if not (0.0 < lam_m < 2.0):
         raise PeakSearchError(f"peak location {lam_m} outside (0, 2) for N={n_sites}")
     for probe in (lam_m - 1e-6, lam_m + 1e-6):

@@ -179,6 +179,14 @@ def test_usage_errors_exit_two(args, capsys):
     assert code == 2 and err != ""
 
 
+def test_overflowing_coupling_exits_two(capsys):
+    # chi used to print as 0.0: (1 - lam)^2 overflowed and every correlator vanished.
+    code, out, err = run_cli(["sweep", "--sizes", "64", "--lambda-min", "1e155",
+                              "--lambda-max", "1e156", "--steps", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "lam=1e+155" in err and "overflows" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nu_must_be_finite(value):
     # A separate process, so that warnings printed before the error reach stderr.

@@ -1,14 +1,12 @@
 """Byte-for-byte CLI output on fixed argv cases.
 
 Each case in CASES has three files under tests/golden/: NAME.out (stdout),
-NAME.err (stderr) and NAME.code (the exit code).  They were written by running
+NAME.err (stderr) and NAME.code (the exit code).  They are written by running
 this file as a script,
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 
-on the tree before the library records stopped storing the collapse points,
-the RDM `degenerate` flag, the fit `flagged` flag and the correlator
-`derivatives_divergent` flag, and the test passes on both trees.  A change
+which rewrites the named cases, or every case when none is named.  A change
 that rewrites any of these files must say in CHANGES.md which case changed
 and why.
 
@@ -17,6 +15,8 @@ differ between BLAS builds.
 """
 
 import contextlib
+import csv
+import importlib.util
 import io
 from pathlib import Path
 
@@ -25,6 +25,7 @@ import pytest
 from tfim_rfs.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 CASES = {
     "thermo": ["thermo"],
@@ -59,9 +60,32 @@ def test_cli_bytes_match_golden(name):
     assert run(CASES[name]) == golden(name)
 
 
+def test_golden_peaks_match_mpmath():
+    # The peak case prints lam_m and chi_m; check them against the root of
+    # mpmath's chi' (perfbench/reference.py, 40 digits, shares no code).
+    mpmath = pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    rows = list(csv.DictReader(io.StringIO(golden("peak")[1])))
+    assert [int(row["n_sites"]) for row in rows] == [12, 64]
+    for row in rows:
+        lam_m, chi_m = float(row["lambda_m"]), float(row["chi_m"])
+        with mpmath.mp.workdps(reference.FINITE_DPS):
+            lam_ref, chi_ref = reference.peak(int(row["n_sites"]), lam_m)
+            assert abs(lam_m - lam_ref) <= 4.5e-16
+            assert abs(chi_m - chi_ref) <= 1e-14 * chi_ref
+
+
 if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s) {unknown}; expected some of {list(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        code, out, err = run(argv)
+    for name in names:
+        code, out, err = run(CASES[name])
         for suffix, text in (("code", f"{code}\n"), ("out", out), ("err", err)):
             (GOLDEN / f"{name}.{suffix}").write_text(text, encoding="utf-8", newline="")

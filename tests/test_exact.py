@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from tfim_rfs import (
     log_divergence_coefficient,
     momentum_grid,
     susceptibility,
+    susceptibility_slope,
 )
 
 # Independent 40-digit mpmath evaluation of the same sums (shares no code
@@ -136,6 +138,20 @@ class TestFiniteCorrelators:
         with pytest.raises(ValueError, match="N=4, lam=1.0"):
             correlators_finite(ChainSpec(4, 1.0))
 
+    @pytest.mark.parametrize("lam", [1e155, 1.7e308])
+    def test_overflowing_gap_rejected(self, lam):
+        # (1 - lam)^2 overflows: omega would be inf and every correlator 0.
+        with pytest.raises(ValueError, match=re.escape(f"N=64, lam={lam}")):
+            correlators_finite(ChainSpec(64, lam))
+        with pytest.raises(ValueError, match="overflows"):
+            susceptibility(64, lam)
+        with pytest.raises(ValueError, match="overflows"):
+            susceptibility_slope(64, lam)
+
+    def test_largest_representable_gap_accepted(self):
+        c = correlators_finite(ChainSpec(64, 1.34e154))
+        assert c.xx == pytest.approx(1.0, abs=1e-12)
+
     def test_critical_magnetization_derivative_finite_difference(self):
         n = 8192
         fd = fd6(lambda x: correlators_finite(ChainSpec(n, x)).sz, 1.0)
@@ -186,6 +202,20 @@ class TestMpmathReference:
                 assert abs(getattr(c, name) - value) <= 1e-13 * abs(value), name
             ref_chi = reference.chi_from_correlators(sz, xx, yy, d_sz, d_xx, d_yy)
             assert abs(chi - ref_chi) <= 1e-13 * ref_chi
+
+    # Below the peak (slope > 0), above it (slope < 0) and at lam = 1, where
+    # the peak sits at 0.952, 0.997 and 0.999998 for N = 12, 64 and 4096.
+    @pytest.mark.parametrize("n,lam", [
+        *((n, lam) for n in (12, 64) for lam in (0.9, 0.99, 1.0, 1.05)),
+        *((4096, lam) for lam in (0.99, 0.999995, 1.0, 1.003)),
+    ])
+    def test_susceptibility_slope(self, n, lam):
+        reference, mp = _reference()
+        table = _reference_table(n)
+        slope = susceptibility_slope(n, lam)
+        with mp.workdps(reference.FINITE_DPS):
+            expected = mp.diff(lambda x: reference.chi_finite(x, table), lam)
+        assert abs(slope - expected) <= 1e-12 * abs(expected)
 
 
 class TestThermoCorrelators:

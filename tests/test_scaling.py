@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from tfim_rfs import (
 )
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
+REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
+                   / "reference.json")
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +58,33 @@ class TestFindPeak:
             find_peak(256, bracket=(1.5, 2.0))
         assert info.value.lambdas is not None and info.value.chis is not None
 
+    def test_no_interior_maximum_carries_bracket_ends(self):
+        with pytest.raises(PeakSearchError, match=r"bracket \(1\.5, 2\.0\) for N=256") as info:
+            find_peak(256, bracket=(1.5, 2.0))
+        assert info.value.lambdas == (1.5, 2.0)
+        assert info.value.chis == (susceptibility(256, 1.5), susceptibility(256, 2.0))
+
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             find_peak(256, bracket=(1.1, 0.8))
+
+    def test_matches_reference_peaks(self):
+        # 25-digit mpmath peaks of perfbench/tables/reference.json: lam_m to
+        # about 4 ulps; a search that stops at sqrt(eps) is off by about 2e-9.
+        table = json.loads(REFERENCE_TABLE.read_text(encoding="utf-8"))
+        for entry in table["peaks"]:
+            rec = find_peak(entry["n_sites"])
+            lam_ref, chi_ref = float(entry["lambda_m"]), float(entry["chi_m"])
+            assert abs(rec.lambda_m - lam_ref) <= 4.5e-16, entry["n_sites"]
+            assert abs(rec.chi_m - chi_ref) <= 1e-14 * chi_ref, entry["n_sites"]
+
+    def test_resolves_large_rings(self):
+        # 1 - lam_m shrinks about 13x per 4x in N; a search that stops at
+        # sqrt(eps) returns one lam_m for both 2^18 and 2^20.
+        gaps = [1.0 - find_peak(2 ** k).lambda_m for k in (16, 18, 20)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 8.0 <= wide / narrow <= 20.0
 
 
 class TestFitFiniteSize:
