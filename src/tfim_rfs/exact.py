@@ -160,8 +160,7 @@ def _mode_terms(spec: ChainSpec):
     """Per-mode arrays shared by the finite sums: s, 1 - lam, 1/omega and sin^2(phi)/omega^3.
 
     Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
-    about 1.34e154, where omega would be infinite and every correlator 0) or
-    omega vanishes in floating point.
+    about 1.34e154, where omega would be infinite and every correlator 0).
     """
     n, lam = spec.n_sites, spec.lam
     s = _half_angle_table(n)
@@ -169,12 +168,8 @@ def _mode_terms(spec: ChainSpec):
     gap_sq = gap * gap
     if math.isinf(gap_sq):
         raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
-    omega = np.sqrt(gap_sq + 4.0 * lam * s)
-    # omega >= 2 sqrt(lam) sin(pi/2N) > 0 on the half-odd grid; this guards the
-    # quotients below against a zero table entry.
-    if float(np.min(omega)) <= 0.0:
-        raise ValueError(f"dispersion vanishes in floating point at N={n}, lam={lam}")
-    inv = 1.0 / omega
+    # omega > 0: every table entry s >= sin^2(pi/2N), and |1 - lam| > 0 off lam = 1.
+    inv = 1.0 / np.sqrt(gap_sq + 4.0 * lam * s)
     return s, gap, inv, 4.0 * s * (1.0 - s) * inv * inv * inv
 
 

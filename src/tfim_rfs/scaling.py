@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .rfs import susceptibility, susceptibility_slope, susceptibility_thermo
+from .rfs import SingularBlockError, susceptibility, susceptibility_slope, susceptibility_thermo
 
 __all__ = [
     "LOG_SQUARED_AMPLITUDE",
@@ -64,7 +64,8 @@ class PeakSearchError(ValueError):
 
     ``lambdas`` holds the bracket ends and ``chis`` the susceptibility there,
     when the slope of chi does not fall from positive to negative across the
-    bracket; both are None when a later certificate fails.
+    bracket; both are None when a bracket end has a singular block or a later
+    certificate fails.
     """
 
     def __init__(self, message: str, lambdas=None, chis=None):
@@ -104,8 +105,8 @@ class ScalingFit:
         return self.r_squared < 0.99
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi]; stops at bracket width <= tol."""
+def golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximizer of fn on [lo, hi]; stops at bracket width <= tol."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = fn(c), fn(d)
@@ -118,8 +119,7 @@ def golden_section_max(fn, lo: float, hi: float, tol: float):
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = fn(d)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
+    return 0.5 * (lo + hi)
 
 
 def _brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:
@@ -173,8 +173,9 @@ def find_peak(n_sites: int, bracket: tuple[float, float] = _PEAK_BRACKET) -> Pea
 
     The peak is the root of dchi/dlam (``susceptibility_slope``, in closed
     form).  The slope must be positive at the lower bracket end and negative
-    at the upper one, or PeakSearchError is raised; Brent's method then
-    narrows the sign change down to adjacent doubles, so the slope falls
+    at the upper one, or PeakSearchError is raised (chained from the
+    SingularBlockError where a block is singular at an end); Brent's method
+    then narrows the sign change down to adjacent doubles, so the slope falls
     through zero at lam_m, and chi_m = ``susceptibility(n_sites, lam_m)``.
     The returned record is re-certified as a local maximum against
     lam_m +- 1e-6.
@@ -186,7 +187,15 @@ def find_peak(n_sites: int, bracket: tuple[float, float] = _PEAK_BRACKET) -> Pea
     def slope(lam):
         return susceptibility_slope(n_sites, lam)
 
-    slope_lo, slope_hi = slope(lo), slope(hi)
+    def end_slope(lam):
+        try:
+            return slope(lam)
+        except SingularBlockError as exc:
+            raise PeakSearchError(
+                f"slope of chi not evaluable at bracket end lam={lam!r} for N={n_sites}: {exc}"
+            ) from exc
+
+    slope_lo, slope_hi = end_slope(lo), end_slope(hi)
     if not slope_lo > 0.0 > slope_hi:
         raise PeakSearchError(
             f"no interior maximum of chi in bracket {bracket} for N={n_sites}",
@@ -213,7 +222,8 @@ def _r_squared(y, residuals) -> float:
 
 
 def fit_finite_size(peaks) -> ScalingFit:
-    """Least-squares fit of sqrt(chi_m) against ln N.
+    """Least-squares fit of sqrt(chi_m) against ln N, from centred sums (plain
+    numpy reductions, no LAPACK, so the bytes do not depend on the BLAS build).
 
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
@@ -225,8 +235,10 @@ def fit_finite_size(peaks) -> ScalingFit:
         raise ValueError("need at least two distinct sizes for a line fit")
     x = np.log(sizes)
     y = np.sqrt([p.chi_m for p in peaks])
-    coeffs = np.polyfit(x, y, 1)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    dx = x - x_mean
+    slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
+    intercept = y_mean - slope * x_mean
     r_sq = _r_squared(y, y - (slope * x + intercept))
     ref = math.sqrt(LOG_SQUARED_AMPLITUDE)
     params = {
@@ -236,7 +248,7 @@ def fit_finite_size(peaks) -> ScalingFit:
         "slope_rel_deviation": abs(slope - ref) / ref,
     }
     return ScalingFit(
-        slope=float(slope), intercept=float(intercept), r_squared=r_sq,
+        slope=slope, intercept=intercept, r_squared=r_sq,
         model="sqrt_chi_vs_lnN", params=params,
     )
 
@@ -399,6 +411,5 @@ def best_collapse_exponent(sizes, peaks=None) -> float:
     search stops at a bracket narrower than 1e-3.
     """
     sampled = data_collapse(sizes, peaks=peaks)
-    nu_best, _ = golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
-                                    *_NU_BOUNDS, _NU_TOL)
-    return nu_best
+    return golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
+                              *_NU_BOUNDS, _NU_TOL)

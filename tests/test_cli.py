@@ -187,6 +187,16 @@ def test_overflowing_coupling_exits_two(capsys):
     assert "lam=1e+155" in err and "overflows" in err
 
 
+def test_singular_bracket_end_lists_every_size(capsys):
+    # A singular block at the lower bracket end used to abort the search with
+    # a message naming neither the size nor the coupling.
+    code, out, err = run_cli(["peak", "--sizes", "64,128", "--lambda-min", "1e-13",
+                              "--lambda-max", "1.1"], capsys)
+    assert code == 2 and out == ""
+    for n in (64, 128):
+        assert f"N={n}: slope of chi not evaluable at bracket end lam=1e-13 for N={n}" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nu_must_be_finite(value):
     # A separate process, so that warnings printed before the error reach stderr.

@@ -9,9 +9,6 @@ this file as a script,
 which rewrites the named cases, or every case when none is named.  A change
 that rewrites any of these files must say in CHANGES.md which case changed
 and why.
-
-`scaling` is left out: its np.polyfit goes through LAPACK, whose last bit may
-differ between BLAS builds.
 """
 
 import contextlib
@@ -35,6 +32,7 @@ CASES = {
     "sweep_verify_json": ["sweep", "--sizes", "64", "--steps", "3", "--verify",
                           "--delta", "1e-5", "--format", "json"],
     "peak": ["peak", "--sizes", "12,64"],
+    "scaling": ["scaling", "--sizes", "64,128,256,512,1024"],
     "peak_no_interior_max": ["peak", "--sizes", "64", "--lambda-min", "1.05",
                              "--lambda-max", "1.2"],
     "collapse_csv": ["collapse", "--sizes", "64,128,256", "--nu", "1.5"],

@@ -131,12 +131,16 @@ class TestFiniteCorrelators:
             fd = fd6(lambda x: getattr(correlators_finite(ChainSpec(n, x)), value), lam)
             assert abs(fd - getattr(c, deriv)) <= 1e-7
 
-    def test_vanishing_dispersion_rejected(self, monkeypatch):
-        # A zero sin^2(phi/2) entry makes omega vanish at lam = 1.
-        table = np.array([0.0, 0.5])
-        monkeypatch.setattr(tfim_rfs.exact, "_half_angle_table", lambda n: table)
-        with pytest.raises(ValueError, match="N=4, lam=1.0"):
-            correlators_finite(ChainSpec(4, 1.0))
+    def test_dispersion_positive_on_grid(self):
+        # Why the finite sums need no omega > 0 check: the smallest table entry
+        # is sin^2(pi/2N) > 0, so omega >= 2 sqrt(s) > 0 at lam = 1, and
+        # omega >= |1 - lam| >= 2^-53 elsewhere.
+        for n in (4, 12, 1024, 2 ** 20):
+            s = tfim_rfs.exact._half_angle_table(n)
+            assert float(s.min()) == pytest.approx(math.sin(math.pi / (2 * n)) ** 2, rel=1e-12)
+            for lam in (1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52):
+                c = correlators_finite(ChainSpec(n, lam))
+                assert all(math.isfinite(getattr(c, name)) for name in FIELDS)
 
     @pytest.mark.parametrize("lam", [1e155, 1.7e308])
     def test_overflowing_gap_rejected(self, lam):

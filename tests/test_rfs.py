@@ -54,6 +54,31 @@ class TestClosedForm:
         with pytest.raises(SingularBlockError):
             rfs_closed_form(rdm_at(64, 0.0))
 
+    @pytest.mark.parametrize("n,lam,block1,block2", [
+        (12, 0.9, "0x1.03d9b00c05ce0p-2", "0x1.4ef8eb4dc821dp-1"),
+        (64, 1.0, "0x1.79a2c3db1fcf0p-1", "0x1.c955a9a88addcp+0"),
+        (4096, 0.999, "0x1.ac20fe7c9ddabp+0", "0x1.27be6d5e14fe2p+2"),
+        ("thermo", 0.5, "0x1.37476e189e212p-4", "0x1.6c46b188d6045p-3"),
+        ("thermo", 1.5, "0x1.1517afb20e617p-5", "0x1.c3d4e51a1f516p-7"),
+    ])
+    def test_block_terms_pinned(self, n, lam, block1, block2):
+        # Bit patterns of the per-block terms as first computed from the
+        # block-specific expanded expressions; the generic per-block routine
+        # reproduces them exactly.
+        rho = build_rdm(correlators_thermo(lam)) if n == "thermo" else rdm_at(n, lam)
+        value = rfs_closed_form(rho)
+        assert (value.chi_block1.hex(), value.chi_block2.hex()) == (block1, block2)
+        assert value.chi == value.chi_block1 + value.chi_block2
+
+    @pytest.mark.parametrize("lam,dets", [
+        (0.0, "det1=0.000e+00, det2=0.000e+00"),
+        (1e-13, "det1=-6.245e-28, det2=-8.560e-35"),
+    ])
+    def test_singular_block_reports_both_determinants(self, lam, dets):
+        with pytest.raises(SingularBlockError) as info:
+            rfs_closed_form(rdm_at(12, lam))
+        assert str(info.value) == f"singular block ({dets}); use the fidelity oracle instead"
+
     @pytest.mark.parametrize("n", [64, 512, 8192])
     def test_nonnegative_over_sweep(self, n):
         for lam in np.linspace(0.05, 3.0, 30):

@@ -13,6 +13,7 @@ from tfim_rfs import (
     PeakRecord,
     PeakSearchError,
     ScalingFit,
+    SingularBlockError,
     best_collapse_exponent,
     collapse_quality,
     data_collapse,
@@ -63,6 +64,12 @@ class TestFindPeak:
             find_peak(256, bracket=(1.5, 2.0))
         assert info.value.lambdas == (1.5, 2.0)
         assert info.value.chis == (susceptibility(256, 1.5), susceptibility(256, 2.0))
+
+    def test_singular_bracket_end_raises_chained(self):
+        with pytest.raises(PeakSearchError, match=r"bracket end lam=1e-13 for N=64") as info:
+            find_peak(64, bracket=(1e-13, 1.1))
+        assert isinstance(info.value.__cause__, SingularBlockError)
+        assert info.value.lambdas is None and info.value.chis is None
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
