@@ -197,6 +197,28 @@ def test_singular_bracket_end_lists_every_size(capsys):
         assert f"N={n}: slope of chi not evaluable at bracket end lam=1e-13 for N={n}" in err
 
 
+@pytest.mark.parametrize("nu, message", [
+    ("200", "N^(nu-1) overflows for N=64, nu=200.0"),
+    ("130", "N^(nu-1) overflows for N=256, nu=130.0"),
+    ("-300", "empty overlap window"),
+])
+def test_collapse_extreme_exponent_exits_two(nu, message, capsys):
+    # --nu 200 used to exit 1 with "internal error: (34, 'Numerical result out of range')".
+    code, out, err = run_cli(["collapse", "--sizes", "64,128,256", "--nu", nu], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_import_needs_no_scipy():
+    # A fresh interpreter, so that modules other tests imported do not count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, tfim_rfs, tfim_rfs.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nu_must_be_finite(value):
     # A separate process, so that warnings printed before the error reach stderr.

@@ -24,6 +24,7 @@ from tfim_rfs import (
     susceptibility,
     susceptibility_thermo,
 )
+from tfim_rfs.scaling import _pchip
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
 REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
@@ -229,6 +230,13 @@ class TestDataCollapse:
         samples = {n: (xs, xs ** 2) for n in (64, 128)}
         assert collapse_quality(CollapseCurve(samples=samples, nu=1.0)) == 0.0
 
+    def test_overflowing_rescale_names_size_and_exponent(self):
+        # float(N) ** (nu - 1) used to escape as OverflowError.
+        xs = np.linspace(-1.0, 1.0, 5)
+        curve = CollapseCurve(samples={64: (xs, xs ** 2), 128: (xs, xs ** 2)}, nu=200.0)
+        with pytest.raises(ValueError, match=r"N=64, nu=200\.0"):
+            curve.by_size()
+
     def test_empty_overlap_raises(self):
         samples = {64: (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
                    128: (np.array([5.0, 6.0]), np.array([0.0, 1.0]))}
@@ -261,6 +269,7 @@ class TestDataCollapse:
     def test_exponent_recovery(self, collapse_peaks):
         nu = best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert 0.9 <= nu <= 1.1
+        assert nu.hex() == "0x1.feee90e14103cp-1"
 
     def test_exponent_search_samples_once(self, collapse_peaks, monkeypatch):
         calls = []
@@ -284,3 +293,61 @@ class TestDataCollapse:
         for n in COLLAPSE_SIZES:
             for got, expected in zip(rescaled[n], sampled[n]):
                 np.testing.assert_array_equal(got, expected)
+
+
+def _pchip_cases(count):
+    """Random and integer-valued data (flat runs, sign changes) on 2..60 points,
+    with grids that hold the knots, both ends and points outside them."""
+    rng = np.random.default_rng(20260)
+    for case in range(count):
+        n = int(rng.integers(2, 61))
+        if case % 2:
+            xs = np.cumsum(rng.uniform(0.01, 3.0, n)) - 10.0
+        else:
+            xs = np.sort(rng.choice(np.arange(-200, 200), n, replace=False)).astype(float)
+        if case % 3 == 0:
+            ys = rng.integers(-3, 4, n).astype(float)
+        elif case % 3 == 1:
+            ys = rng.normal(size=n)
+        else:
+            ys = np.cumsum(rng.integers(-1, 2, n)).astype(float)
+        grid = np.concatenate((np.linspace(xs[0] - 1.0, xs[-1] + 1.0, 57), xs,
+                               rng.uniform(xs[0], xs[-1], 30)))
+        yield xs, ys, grid
+
+
+class TestMonotoneCubic:
+    def test_bitwise_equal_to_scipy(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for xs, ys, grid in _pchip_cases(1500):
+            expected = interpolate.PchipInterpolator(xs, ys)(grid)
+            assert np.array_equal(_pchip(xs, ys, grid), expected), (xs, ys)
+
+    def test_collapse_curves_bitwise_equal_to_scipy(self, collapse_peaks):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        sampled = data_collapse(COLLAPSE_SIZES, peaks=collapse_peaks)
+        for nu in np.linspace(0.5, 2.0, 31).tolist():
+            for xs, ys in replace(sampled, nu=nu).by_size().values():
+                grid = np.linspace(xs[0], xs[-1], 101)
+                expected = interpolate.PchipInterpolator(xs, ys)(grid)
+                assert np.array_equal(_pchip(xs, ys, grid), expected)
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0.0], [1.0], "at least 2 points"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "1-d of one length"),
+        ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]], "1-d of one length"),
+        ([0.0, math.inf], [0.0, 1.0], "finite"),
+        ([0.0, 1.0], [0.0, math.nan], "finite"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+        ([1.0, 0.0], [0.0, 1.0], "strictly increasing"),
+    ])
+    def test_rejects_invalid_data(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            _pchip(xs, ys, np.linspace(0.0, 1.0, 3))
+
+    def test_non_finite_curve_rejected(self):
+        # A hand-built curve is public input; its x reaches _pchip unchecked.
+        finite = np.array([-1.0, 0.0, 1.0])
+        samples = {64: (np.array([-1.0, 0.0, math.inf]), finite), 128: (finite, finite)}
+        with pytest.raises(ValueError, match="finite"):
+            collapse_quality(CollapseCurve(samples=samples, nu=1.0))
