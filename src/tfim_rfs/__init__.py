@@ -12,15 +12,12 @@ from .exact import (
     CorrelatorSet,
     correlators_finite,
     correlators_thermo,
-    dispersion,
-    log_divergence_coefficient,
     momentum_grid,
 )
-from .rdm import ConsistencyError, TwoSiteRdm, build_rdm, rdm_blocks
+from .rdm import ConsistencyError, TwoSiteRdm, build_rdm
 from .rfs import (
     RfsValue,
     SingularBlockError,
-    block_susceptibility,
     oracle_estimate,
     rfs_closed_form,
     rfs_oracle,
@@ -59,23 +56,19 @@ __all__ = [
     "SingularBlockError",
     "TwoSiteRdm",
     "best_collapse_exponent",
-    "block_susceptibility",
     "build_rdm",
     "collapse_quality",
     "correlators_finite",
     "correlators_thermo",
     "data_collapse",
-    "dispersion",
     "elliptic_e",
     "elliptic_k",
     "find_peak",
     "fit_finite_size",
     "fit_sq_log_model",
     "fit_thermo",
-    "log_divergence_coefficient",
     "momentum_grid",
     "oracle_estimate",
-    "rdm_blocks",
     "rfs_closed_form",
     "rfs_oracle",
     "susceptibility",

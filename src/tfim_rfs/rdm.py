@@ -13,18 +13,17 @@ with elements fixed by translation invariance:
 
 The same affine map applied to the correlator derivatives yields the
 lam-derivative of every element, carried alongside the values because the
-susceptibility formula consumes both.
+susceptibility formula consumes both.  The tests check this basis and map
+against the two-site state of an exactly diagonalized ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exact import CorrelatorSet
 
-__all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm", "rdm_blocks"]
+__all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm"]
 
 # Positivity slack: far above the roundoff of the correlator values, tight
 # enough to catch genuine formula bugs.
@@ -102,16 +101,3 @@ def _element_derivatives(d_sz, d_xx, d_yy, d_zz):
         (d_xx + d_yy) / 4.0,
         (d_xx - d_yy) / 4.0,
     )
-
-
-def rdm_blocks(rho: TwoSiteRdm):
-    """The two 2x2 blocks, each paired with its derivative block.
-
-    Returns ((block1, d_block1), (block2, d_block2)) with
-    block1 = [[u+, z-], [z-, u-]] and block2 = [[w, z+], [z+, w]].
-    """
-    block1 = np.array([[rho.u_plus, rho.z_minus], [rho.z_minus, rho.u_minus]])
-    d_block1 = np.array([[rho.d_u_plus, rho.d_z_minus], [rho.d_z_minus, rho.d_u_minus]])
-    block2 = np.array([[rho.w, rho.z_plus], [rho.z_plus, rho.w]])
-    d_block2 = np.array([[rho.d_w, rho.d_z_plus], [rho.d_z_plus, rho.d_w]])
-    return (block1, d_block1), (block2, d_block2)

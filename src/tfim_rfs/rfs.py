@@ -10,8 +10,8 @@ Two independent routes are provided and cross-checked:
 
   One per-block routine evaluates this for both blocks, and a second one its
   lam-slope for ``susceptibility_slope``, which the peak search solves.
-  ``block_susceptibility`` on the ``rdm_blocks`` arrays is the generic
-  reference the tests hold them to.
+  The tests hold it to the quantum Fisher information of the blocks'
+  eigen-decomposition (mpmath) and of an exactly diagonalized ring.
 
 * ``rfs_oracle`` -- a finite-difference limit of the Uhlmann fidelity
   F = tr sqrt(sqrt(rho) rho~ sqrt(rho)) between the states at lam and
@@ -36,7 +36,6 @@ from .rdm import ConsistencyError, TwoSiteRdm, _element_derivatives, build_rdm
 __all__ = [
     "RfsValue",
     "SingularBlockError",
-    "block_susceptibility",
     "oracle_estimate",
     "rfs_closed_form",
     "rfs_oracle",
@@ -77,27 +76,6 @@ class RfsValue:
     chi_block2: float | None = None
     oracle_delta: float | None = None
     discrepancy: float | None = None
-
-
-def block_susceptibility(block, d_block) -> float:
-    """Susceptibility contribution of one 2x2 block (generic form).
-
-    block and d_block are 2x2 symmetric arrays (values and derivatives).
-    """
-    tr = block[0][0] + block[1][1]
-    det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
-    if det <= _SINGULAR_TOL or abs(tr) <= _SINGULAR_TOL:
-        raise SingularBlockError(
-            f"block with det={det:.3e}, tr={tr:.3e} is singular; "
-            "use the fidelity oracle instead"
-        )
-    d_tr = d_block[0][0] + d_block[1][1]
-    d_det_matrix = d_block[0][0] * d_block[1][1] - d_block[0][1] * d_block[1][0]
-    d_det = (
-        d_block[0][0] * block[1][1] + block[0][0] * d_block[1][1]
-        - d_block[0][1] * block[1][0] - block[0][1] * d_block[1][0]
-    )
-    return (d_tr * d_tr - 4.0 * d_det_matrix + d_det * d_det / det) / (4.0 * tr)
 
 
 def _block_terms(a, b, c, da, db, dc):

@@ -431,7 +431,8 @@ def collapse_quality(curve: CollapseCurve) -> float:
     Curves are compared at 101 evenly spaced x of their common window, by
     monotone piecewise-cubic interpolation (no overshoot).  Identical curves
     give 0, and so does a single size; two curves a constant 0.1 apart on a
-    unit-swing shape give 0.1.  An empty overlap window raises ValueError.
+    unit-swing shape give 0.1.  An empty overlap window raises ValueError,
+    and so do curves whose cubics overflow (rescaled x beyond about 1e100).
     """
     branches = curve.by_size()
     if len(branches) < 2:
@@ -441,9 +442,11 @@ def collapse_quality(curve: CollapseCurve) -> float:
     if lo >= hi:
         raise ValueError(f"empty overlap window: [{lo}, {hi}]")
     grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
-    interpolated = np.array(
-        [_pchip(xs, ys, grid) for xs, ys in branches.values()]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        interpolated = np.array([_pchip(xs, ys, grid) for xs, ys in branches.values()])
+    if not np.all(np.isfinite(interpolated)):
+        raise ValueError(f"collapse curves are not finite for N={list(branches)}, "
+                         f"nu={curve.nu!r}: the rescaled x reaches {hi:.3g}")
     n = interpolated.shape[0]
     spread = np.zeros_like(grid)
     pairs = 0

@@ -14,7 +14,6 @@ import numpy as np
 from tfim_rfs import (
     LOG_SQUARED_AMPLITUDE,
     ChainSpec,
-    block_susceptibility,
     build_rdm,
     collapse_quality,
     correlators_finite,
@@ -26,7 +25,6 @@ from tfim_rfs import (
     find_peak,
     fit_finite_size,
     fit_thermo,
-    rdm_blocks,
     rfs_closed_form,
     rfs_oracle,
 )
@@ -144,7 +142,7 @@ def test_criterion_7_data_collapse():
     assert 0.9 <= nu_best <= 1.1
 
 
-def test_criterion_8_property_suite(capsys, tmp_path):
+def test_criterion_8_property_suite(capsys, tmp_path, eigen_qfi_chi):
     failures = []
 
     # RDM invariants: trace one, derivative trace zero, PSD
@@ -155,9 +153,9 @@ def test_criterion_8_property_suite(capsys, tmp_path):
                 failures.append(f"trace at ({n}, {lam})")
             if abs(rho.d_u_plus + rho.d_u_minus + 2 * rho.d_w) > 1e-12:
                 failures.append(f"derivative trace at ({n}, {lam})")
-            (b1, _), (b2, _) = rdm_blocks(rho)
-            eigs = np.concatenate([np.linalg.eigvalsh(b1), np.linalg.eigvalsh(b2)])
-            if eigs.min() < -1e-10:
+            # eigenvalues w +- z+ and (u+ + u-)/2 +- hypot((u+ - u-)/2, z-)
+            radius = math.hypot((rho.u_plus - rho.u_minus) / 2, rho.z_minus)
+            if min(rho.w - abs(rho.z_plus), (rho.u_plus + rho.u_minus) / 2 - radius) < -1e-10:
                 failures.append(f"positivity at ({n}, {lam})")
 
     # analytic derivatives vs central finite differences (6th-order stencil)
@@ -182,16 +180,16 @@ def test_criterion_8_property_suite(capsys, tmp_path):
     if worst_legendre > 1e-10:
         failures.append(f"Legendre relation {worst_legendre:.2e}")
 
-    # expanded block formula vs generic block formula
+    # closed-form det/trace block formula vs the QFI of the blocks'
+    # eigen-decomposition (mpmath), at finite and thermodynamic points
     worst_forms = 0.0
-    for lam in (0.3, 0.95, 1.0, 1.6):
-        for n in (64, 1024):
-            rho = build_rdm(correlators_finite(ChainSpec(n, lam)))
-            value = rfs_closed_form(rho)
-            (b1, db1), (b2, db2) = rdm_blocks(rho)
-            generic = block_susceptibility(b1, db1) + block_susceptibility(b2, db2)
-            worst_forms = max(worst_forms, abs(value.chi - generic) / generic)
-    if worst_forms > 1e-10:
+    points = [(n, lam) for lam in (0.3, 0.95, 1.0, 1.6) for n in (64, 1024)]
+    points += [(None, lam) for lam in (0.3, 0.9, 0.999, 1.001, 1.1, 1.6)]
+    for n, lam in points:
+        c = correlators_thermo(lam) if n is None else correlators_finite(ChainSpec(n, lam))
+        generic = eigen_qfi_chi(c)
+        worst_forms = max(worst_forms, abs(rfs_closed_form(build_rdm(c)).chi - generic) / generic)
+    if worst_forms > 1e-14:
         failures.append(f"block-formula agreement {worst_forms:.2e}")
 
     # CSV determinism and CSV/JSON value identity through the CLI

@@ -200,6 +200,7 @@ def test_singular_bracket_end_lists_every_size(capsys):
 @pytest.mark.parametrize("nu, message", [
     ("200", "N^(nu-1) overflows for N=64, nu=200.0"),
     ("130", "N^(nu-1) overflows for N=256, nu=130.0"),
+    ("60", "collapse curves are not finite for N=[64, 128, 256], nu=60.0"),
     ("-300", "empty overlap window"),
 ])
 def test_collapse_extreme_exponent_exits_two(nu, message, capsys):

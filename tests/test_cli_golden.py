@@ -13,7 +13,6 @@ and why.
 
 import contextlib
 import csv
-import importlib.util
 import io
 from pathlib import Path
 
@@ -22,7 +21,6 @@ import pytest
 from tfim_rfs.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 CASES = {
     "thermo": ["thermo"],
@@ -58,18 +56,14 @@ def test_cli_bytes_match_golden(name):
     assert run(CASES[name]) == golden(name)
 
 
-def test_golden_peaks_match_mpmath():
+def test_golden_peaks_match_mpmath(reference):
     # The peak case prints lam_m and chi_m; check them against the root of
     # mpmath's chi' (perfbench/reference.py, 40 digits, shares no code).
-    mpmath = pytest.importorskip("mpmath")
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
     rows = list(csv.DictReader(io.StringIO(golden("peak")[1])))
     assert [int(row["n_sites"]) for row in rows] == [12, 64]
     for row in rows:
         lam_m, chi_m = float(row["lambda_m"]), float(row["chi_m"])
-        with mpmath.mp.workdps(reference.FINITE_DPS):
+        with reference.mp.workdps(reference.FINITE_DPS):
             lam_ref, chi_ref = reference.peak(int(row["n_sites"]), lam_m)
             assert abs(lam_m - lam_ref) <= 4.5e-16
             assert abs(chi_m - chi_ref) <= 1e-14 * chi_ref

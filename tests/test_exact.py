@@ -1,8 +1,6 @@
-import importlib.util
 import math
 import re
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +12,10 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
-    dispersion,
-    log_divergence_coefficient,
     momentum_grid,
     susceptibility,
     susceptibility_slope,
 )
-
-# Independent 40-digit mpmath evaluation of the same sums (shares no code
-# with tfim_rfs), loaded from the benchmark directory.
-REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -78,23 +70,6 @@ class TestChainSpec:
     def test_valid_normalizes(self):
         spec = ChainSpec(np.int64(8), np.float64(0.5))
         assert spec.n_sites == 8 and spec.lam == 0.5
-
-
-class TestDispersion:
-    def test_zero_coupling(self):
-        assert dispersion(0.0, 1.234) == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("phi", [-2.0, 0.3, 3.0, 1e-9, 2e-5])
-    def test_critical_form(self, phi):
-        expected = 2 * abs(math.sin(phi / 2))
-        assert dispersion(1.0, phi) == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-    def test_gap_at_zero_angle(self):
-        assert dispersion(2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_positive_on_critical_grid(self):
-        phi = momentum_grid(ChainSpec(4096, 1.0))
-        assert np.min(dispersion(1.0, phi)) > 0.0
 
 
 class TestFiniteCorrelators:
@@ -172,27 +147,17 @@ class TestFiniteCorrelators:
 
 
 @lru_cache(maxsize=None)
-def _reference():
-    mpmath = pytest.importorskip("mpmath")
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module, mpmath.mp
-
-
-@lru_cache(maxsize=None)
-def _reference_table(n):
-    reference, mp = _reference()
-    with mp.workdps(reference.FINITE_DPS):
+def _reference_table(reference, n):
+    with reference.mp.workdps(reference.FINITE_DPS):
         return reference.mode_table(n)
 
 
 class TestMpmathReference:
     @pytest.mark.parametrize("n,lam", [(512, 1.0), (4096, 1.0), (4096, 0.95),
                                        (4096, 1.003), (1024, 0.3), (1024, 2.5)])
-    def test_correlators_and_chi(self, n, lam):
-        reference, mp = _reference()
-        table = _reference_table(n)
+    def test_correlators_and_chi(self, n, lam, reference):
+        mp = reference.mp
+        table = _reference_table(reference, n)
         c = correlators_finite(ChainSpec(n, lam))
         chi = susceptibility(n, lam)
         with mp.workdps(reference.FINITE_DPS):
@@ -213,9 +178,9 @@ class TestMpmathReference:
         *((n, lam) for n in (12, 64) for lam in (0.9, 0.99, 1.0, 1.05)),
         *((4096, lam) for lam in (0.99, 0.999995, 1.0, 1.003)),
     ])
-    def test_susceptibility_slope(self, n, lam):
-        reference, mp = _reference()
-        table = _reference_table(n)
+    def test_susceptibility_slope(self, n, lam, reference):
+        mp = reference.mp
+        table = _reference_table(reference, n)
         slope = susceptibility_slope(n, lam)
         with mp.workdps(reference.FINITE_DPS):
             expected = mp.diff(lambda x: reference.chi_finite(x, table), lam)
@@ -284,24 +249,6 @@ class TestThermoCorrelators:
 
 
 class TestLogDivergenceCoefficients:
-    def test_values(self):
-        assert log_divergence_coefficient("sz") == pytest.approx(-1 / math.pi)
-        assert log_divergence_coefficient("xx") == pytest.approx(1 / math.pi)
-        assert log_divergence_coefficient("yy") == pytest.approx(1 / math.pi)
-        assert log_divergence_coefficient("zz") == pytest.approx(-16 / (3 * math.pi ** 2))
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            log_divergence_coefficient("xy")
-
-    @pytest.mark.parametrize("deriv,tag", list(zip(DERIVS, FIELDS)))
-    def test_regression_recovers_coefficients(self, deriv, tag):
-        sizes = [2 ** k for k in range(10, 17)]
-        values = [getattr(correlators_finite(ChainSpec(n, 1.0)), deriv) for n in sizes]
-        slope = np.polyfit(np.log(sizes), values, 1)[0]
-        ref = log_divergence_coefficient(tag)
-        assert abs(slope - ref) <= 0.02 * abs(ref)
-
     def test_xx_yy_combination_at_criticality(self):
         # d_xx + d_yy grows like (2/pi) ln N; d_xx - d_yy converges to 4/(3 pi)
         sizes = [2 ** k for k in range(10, 15)]

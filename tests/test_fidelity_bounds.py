@@ -14,8 +14,12 @@ two-site block algebra:
 * chi_1site = d_sz^2 / (4 (1 - sz^2)), a quarter of the classical Fisher
   information of the diagonal one-site state diag(1 + sz, 1 - sz) / 2.
 
-In the thermodynamic limit only the lower bound applies: chi_F grows with N.
+In the thermodynamic limit only the lower bound applies: chi_F grows with N,
+as N / (16 (1 - lam^2)) for lam < 1 and N / (16 lam^2 (lam^2 - 1)) for
+lam > 1, while chi_1site at lam = 1 grows as ln^2 N / (4 pi^2 - 16).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -72,3 +76,20 @@ def test_global_susceptibility_at_criticality(n):
     # sum over the N/2 positive momenta of cot^2(phi/2) is N(N-1)/2
     expected = n * (n - 1) / 32.0
     assert global_susceptibility(n, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 0.95, 1.05, 1.5, 3.0])
+def test_global_susceptibility_per_site_limit(lam):
+    n = 2 ** 16
+    lam_sq = lam * lam
+    expected = 1.0 / (16.0 * (1.0 - lam_sq) if lam < 1.0 else 16.0 * lam_sq * (lam_sq - 1.0))
+    assert global_susceptibility(n, lam) / n == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_one_site_critical_amplitude():
+    # sqrt(chi_1site(N, 1)) grows as ln N / sqrt(4 pi^2 - 16) plus a constant.
+    roots = [math.sqrt(one_site_susceptibility(correlators_finite(ChainSpec(2 ** k, 1.0))))
+             for k in (14, 16)]
+    slope = (roots[1] - roots[0]) / math.log(4.0)
+    expected = 1.0 / math.sqrt(4.0 * math.pi ** 2 - 16.0)
+    assert slope == pytest.approx(expected, rel=0.0, abs=1e-8)

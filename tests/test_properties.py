@@ -14,12 +14,14 @@ from tfim_rfs import (  # noqa: E402
     susceptibility,
     susceptibility_thermo,
 )
+from test_fidelity_bounds import global_susceptibility, one_site_susceptibility  # noqa: E402
 
 # Fixed example sequence, so a tier-1 run is reproducible.
 PROPERTIES = settings(max_examples=50, deadline=None, derandomize=True)
 
 EVEN_SIZES = st.integers(min_value=2, max_value=2048).map(lambda k: 2 * k)
 COUPLINGS = st.floats(min_value=0.01, max_value=5.0)
+WIDE_COUPLINGS = st.floats(min_value=0.01, max_value=100.0)
 # lam in [0.05, 5] with |1 - lam| >= 0.05: the correlation length stays
 # below ~20 sites, so N >= 1024 is in the thermodynamic limit to roundoff.
 OFF_CRITICAL = st.floats(min_value=0.05, max_value=0.95) | st.floats(min_value=1.05, max_value=5.0)
@@ -56,3 +58,12 @@ def test_large_rings_reach_thermodynamic_limit(n, lam):
     for f in FIELDS + DERIVS:
         assert getattr(finite, f) == pytest.approx(getattr(thermo, f), rel=0.0, abs=1e-12), f
     assert susceptibility(n, lam) == pytest.approx(susceptibility_thermo(lam), rel=1e-11, abs=0.0)
+
+
+@PROPERTIES
+@given(n=EVEN_SIZES, lam=WIDE_COUPLINGS)
+def test_chi_between_one_site_and_global(n, lam):
+    # Fidelity cannot decrease under a partial trace (tests/test_fidelity_bounds.py).
+    chi = susceptibility(n, lam)
+    assert one_site_susceptibility(correlators_finite(ChainSpec(n, lam))) <= chi
+    assert chi <= global_susceptibility(n, lam)

@@ -10,13 +10,19 @@ from tfim_rfs import (
     SingularBlockError,
     build_rdm,
     correlators_finite,
-    rdm_blocks,
     rfs_closed_form,
 )
 
 
 def rdm_at(n, lam):
     return build_rdm(correlators_finite(ChainSpec(n, lam)))
+
+
+def block_eigenvalues(rho):
+    """The four eigenvalues of the RDM: w +- z+ and those of [[u+, z-], [z-, u-]]."""
+    mean = (rho.u_plus + rho.u_minus) / 2
+    radius = math.hypot((rho.u_plus - rho.u_minus) / 2, rho.z_minus)
+    return np.array([rho.w + rho.z_plus, rho.w - rho.z_plus, mean + radius, mean - radius])
 
 
 class TestBuildRdm:
@@ -50,9 +56,7 @@ class TestBuildRdm:
     @pytest.mark.parametrize("lam", np.linspace(0.2, 2.0, 13))
     def test_positive_spectrum(self, lam):
         rho = rdm_at(64, float(lam))
-        (b1, _), (b2, _) = rdm_blocks(rho)
-        eigs = np.concatenate([np.linalg.eigvalsh(b1), np.linalg.eigvalsh(b2)])
-        assert eigs.min() >= 1e-6
+        assert block_eigenvalues(rho).min() >= 1e-6
         assert rfs_closed_form(rho).chi > 0.0
 
     def test_positivity_violation_rejected(self):
@@ -94,23 +98,14 @@ class TestBuildRdm:
 
 
 class TestRdmBlocks:
-    def test_block_layout_and_trace(self):
-        rho = rdm_at(512, 0.9)
-        (b1, db1), (b2, db2) = rdm_blocks(rho)
-        assert b1[0, 0] == rho.u_plus and b1[1, 1] == rho.u_minus
-        assert b1[0, 1] == b1[1, 0] == rho.z_minus
-        assert b2[0, 0] == b2[1, 1] == rho.w
-        assert b2[0, 1] == b2[1, 0] == rho.z_plus
-        assert np.trace(b1) + np.trace(b2) == pytest.approx(1.0, abs=1e-14)
-        assert db1[0, 1] == rho.d_z_minus and db2[0, 1] == rho.d_z_plus
-
     def test_zero_coupling_second_block_vanishes(self):
-        (_, _), (b2, _) = rdm_blocks(rdm_at(64, 0.0))
-        np.testing.assert_allclose(b2, 0.0, atol=1e-14)
+        # block 2 = [[w, z+], [z+, w]] and its lam-derivative
+        rho = rdm_at(64, 0.0)
+        for value in (rho.w, rho.z_plus, rho.d_w, rho.d_z_plus):
+            assert value == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
     def test_eigenvalues_form_distribution(self, lam):
-        (b1, _), (b2, _) = rdm_blocks(rdm_at(1024, lam))
-        eigs = np.concatenate([np.linalg.eigvalsh(b1), np.linalg.eigvalsh(b2)])
+        eigs = block_eigenvalues(rdm_at(1024, lam))
         assert np.all(eigs >= 0.0) and np.all(eigs <= 1.0)
         assert math.fsum(eigs) == pytest.approx(1.0, abs=1e-14)

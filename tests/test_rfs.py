@@ -7,12 +7,10 @@ from tfim_rfs import (
     ChainSpec,
     SingularBlockError,
     TwoSiteRdm,
-    block_susceptibility,
     build_rdm,
     correlators_finite,
     correlators_thermo,
     oracle_estimate,
-    rdm_blocks,
     rfs_closed_form,
     rfs_oracle,
     susceptibility,
@@ -37,12 +35,11 @@ class TestClosedForm:
         ("thermo", 0.3),
         ("thermo", 1.6),
     ])
-    def test_expanded_equals_generic(self, n, lam):
-        rho = build_rdm(correlators_thermo(lam)) if n == "thermo" else rdm_at(n, lam)
-        value = rfs_closed_form(rho)
-        (b1, db1), (b2, db2) = rdm_blocks(rho)
-        generic = block_susceptibility(b1, db1) + block_susceptibility(b2, db2)
-        assert value.chi == pytest.approx(generic, rel=1e-10)
+    def test_expanded_equals_generic(self, n, lam, eigen_qfi_chi):
+        # The generic form is the QFI of the blocks' eigen-decomposition, a
+        # different formula from the closed form's det/trace algebra.
+        c = correlators_thermo(lam) if n == "thermo" else correlators_finite(ChainSpec(n, lam))
+        assert rfs_closed_form(build_rdm(c)).chi == pytest.approx(eigen_qfi_chi(c), rel=1e-14)
 
     def test_zero_derivative_gives_zero(self):
         rho = rdm_at(256, 0.7)
