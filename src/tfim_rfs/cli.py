@@ -181,20 +181,20 @@ def _lambda_grid(cfg: RunConfig):
     return [float(v) for v in np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)]
 
 
-def _finite(value):
-    if value is None:
-        return None
-    value = float(value)
+# The CorrelatorSet fields printed by `correlators` and `thermo`, in column order.
+_CORRELATORS = ("sz", "xx", "yy", "zz", "d_sz", "d_xx", "d_yy", "d_zz")
+
+
+def _finite(value: float):
     return value if math.isfinite(value) else None
 
 
 def cmd_correlators(cfg: RunConfig):
-    columns = ["n_sites", "lambda", "sz", "xx", "yy", "zz", "d_sz", "d_xx", "d_yy", "d_zz"]
+    columns = ["n_sites", "lambda", *_CORRELATORS]
 
     def row(n, lam):
         c = correlators_finite(ChainSpec(n, lam))
-        return {"n_sites": n, "lambda": lam, "sz": c.sz, "xx": c.xx, "yy": c.yy,
-                "zz": c.zz, "d_sz": c.d_sz, "d_xx": c.d_xx, "d_yy": c.d_yy, "d_zz": c.d_zz}
+        return {"n_sites": n, "lambda": lam, **{name: getattr(c, name) for name in _CORRELATORS}}
 
     return columns, [row(n, lam) for n in cfg.sizes for lam in _lambda_grid(cfg)], {}
 
@@ -304,13 +304,11 @@ def cmd_collapse(cfg: RunConfig):
 
 
 def cmd_thermo(cfg: RunConfig):
-    columns = ["lambda", "sz", "xx", "yy", "zz", "d_sz", "d_xx", "d_yy", "d_zz", "chi"]
+    columns = ["lambda", *_CORRELATORS, "chi"]
     rows = []
     for lam in _lambda_grid(cfg):
         c = correlators_thermo(lam)
-        row = {"lambda": lam, "sz": c.sz, "xx": c.xx, "yy": c.yy, "zz": c.zz,
-               "d_sz": _finite(c.d_sz), "d_xx": _finite(c.d_xx),
-               "d_yy": _finite(c.d_yy), "d_zz": _finite(c.d_zz)}
+        row = {"lambda": lam, **{name: _finite(getattr(c, name)) for name in _CORRELATORS}}
         if c.derivatives_divergent:
             row["chi"] = None
         else:

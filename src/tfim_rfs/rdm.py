@@ -14,19 +14,21 @@ with elements fixed by translation invariance:
 The same affine map applied to the correlator derivatives yields the
 lam-derivative of every element, carried alongside the values because the
 susceptibility formula consumes both.  The tests check this basis and map
-against the two-site state of an exactly diagonalized ring.
+against the two-site state of an exactly diagonalized ring.  Positivity is
+checked once, where a ``TwoSiteRdm`` is built; no consumer checks it again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exact import CorrelatorSet
 
 __all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm"]
 
-# Positivity slack: far above the roundoff of the correlator values, tight
-# enough to catch genuine formula bugs.
+# Slack on the smaller block eigenvalue: far above the roundoff of the
+# correlator values, tight enough to catch genuine formula bugs.
 _PSD_TOL = 1e-10
 
 
@@ -38,10 +40,10 @@ class ConsistencyError(RuntimeError):
 class TwoSiteRdm:
     """Block elements of the two-site RDM and their lam-derivatives.
 
-    A matrix that passes ``build_rdm``'s positivity check may still have a
-    singular block (e.g. the product state at lam = 0, where the second block
-    vanishes); ``rfs_closed_form`` rejects it from the block determinants, and
-    callers then use the fidelity oracle or keep lam away from zero.
+    Construction raises ConsistencyError if a block [[a, c], [c, b]] has a
+    smaller eigenvalue (a + b)/2 - hypot((a - b)/2, c) below -1e-10, or NaN.
+    A positive matrix may still have a singular block (the product state at
+    lam = 0); ``rfs_closed_form`` rejects it from the block determinants.
     """
 
     u_plus: float
@@ -55,14 +57,23 @@ class TwoSiteRdm:
     d_z_plus: float
     d_z_minus: float
 
+    def __post_init__(self):
+        blocks = ((self.u_plus, self.u_minus, self.z_minus), (self.w, self.w, self.z_plus))
+        for index, (a, b, c) in enumerate(blocks, 1):
+            smallest = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+            if not smallest >= -_PSD_TOL:
+                raise ConsistencyError(
+                    f"RDM block {index} [[{a!r}, {c!r}], [{c!r}, {b!r}]] is not positive "
+                    f"semidefinite: smallest eigenvalue {smallest:.3e}"
+                )
+
 
 def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     """Assemble the two-site RDM (values and derivatives) from correlators.
 
-    Raises ConsistencyError if the constructed matrix violates positive
-    semidefiniteness beyond roundoff tolerance, and ValueError for
-    divergent-derivative input (critical thermodynamic point), where no
-    finite derivative matrix exists.
+    Raises ValueError for divergent-derivative input (critical thermodynamic
+    point), where no finite derivative matrix exists, and ConsistencyError,
+    from ``TwoSiteRdm``, if a block is not positive semidefinite.
     """
     if c.derivatives_divergent:
         raise ValueError(
@@ -77,14 +88,6 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(
         c.d_sz, c.d_xx, c.d_yy, c.d_zz
     )
-
-    det1 = u_plus * u_minus - z_minus * z_minus
-    det2 = w * w - z_plus * z_plus
-    if min(u_plus, u_minus, w, det1, det2) < -_PSD_TOL:
-        raise ConsistencyError(
-            "constructed RDM is not positive semidefinite: "
-            f"u+={u_plus:.3e} u-={u_minus:.3e} w={w:.3e} det1={det1:.3e} det2={det2:.3e}"
-        )
     return TwoSiteRdm(
         u_plus, u_minus, w, z_plus, z_minus,
         d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus,

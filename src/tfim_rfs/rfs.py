@@ -21,7 +21,8 @@ Two independent routes are provided and cross-checked:
 The 4x4 fidelity decomposes over the shared block structure, and for 2x2
 positive blocks admits the closed form
 tr sqrt(sqrt(A) B sqrt(A)) = sqrt(tr(AB) + 2 sqrt(det A det B)), so no
-matrix square roots or eigensolves are needed.
+matrix square roots or eigensolves are needed.  Neither route checks
+positivity: ``TwoSiteRdm`` checks both blocks when it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import ChainSpec, _finite_curvature, correlators_finite, correlators_thermo
-from .rdm import ConsistencyError, TwoSiteRdm, _element_derivatives, build_rdm
+from .rdm import TwoSiteRdm, _element_derivatives, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -44,10 +45,6 @@ __all__ = [
     "susceptibility_thermo",
     "uhlmann_fidelity",
 ]
-
-# Eigenvalues above this (negative) threshold are roundoff and are clamped
-# to zero; anything below it is a genuine positivity violation.
-_EIG_TOL = -1e-12
 
 # Block determinants or traces at or below this are treated as singular
 # (the closed-form susceptibility needs det != 0 and tr != 0).
@@ -104,24 +101,22 @@ def _block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi, det, half):
 
 
 def _checked_sum(chi1, det1, chi2, det2) -> float:
-    """chi1 + chi2, unless a block is singular or the sum negative."""
+    """chi1 + chi2, unless a block is singular."""
     if min(det1, det2) <= _SINGULAR_TOL:
         raise SingularBlockError(
             f"singular block (det1={det1:.3e}, det2={det2:.3e}); "
             "use the fidelity oracle instead"
         )
-    chi = chi1 + chi2
-    if chi < 0.0:
-        raise ConsistencyError(f"negative susceptibility {chi!r}")
-    return chi
+    return chi1 + chi2
 
 
 def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
     """Closed-form susceptibility chi_1 + chi_2, ``_block_terms`` of block 1
     (u+, u-, z-) and block 2 (w, w, z+) of a two-site RDM.
 
-    Raises SingularBlockError when det_i <= 1e-12; past ``build_rdm``'s
-    positivity check, det_i > 1e-12 already forces tr_i > 2e-6.
+    Raises SingularBlockError when det_i <= 1e-12.  ``TwoSiteRdm`` holds
+    only positive blocks, so det_i > 1e-12 forces tr_i > 2e-6 and each chi_i
+    is a sum of squares over a positive trace: chi >= 0.
     """
     chi1, det1, _ = _block_terms(rho.u_plus, rho.u_minus, rho.z_minus,
                                  rho.d_u_plus, rho.d_u_minus, rho.d_z_minus)
@@ -130,20 +125,9 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
     return RfsValue(_checked_sum(chi1, det1, chi2, det2), "closed_form", chi1, chi2)
 
 
-def _min_eigenvalue(a11: float, a22: float, a12: float) -> float:
-    half_tr = 0.5 * (a11 + a22)
-    radius = math.hypot(0.5 * (a11 - a22), a12)
-    return half_tr - radius
-
-
 def _block_fidelity(a11, a22, a12, b11, b22, b12) -> float:
-    """tr sqrt(sqrt(A) B sqrt(A)) for PSD symmetric 2x2 A, B."""
-    for a, b, c in ((a11, a22, a12), (b11, b22, b12)):
-        if _min_eigenvalue(a, b, c) < _EIG_TOL:
-            raise ValueError(
-                f"block [[{a}, {c}], [{c}, {b}]] has a negative eigenvalue "
-                "beyond roundoff tolerance"
-            )
+    """tr sqrt(sqrt(A) B sqrt(A)) for PSD symmetric 2x2 A, B; the clamps
+    absorb the roundoff that ``TwoSiteRdm``'s positivity slack allows."""
     tr_ab = a11 * b11 + a22 * b22 + 2.0 * a12 * b12
     det_a = max(a11 * a22 - a12 * a12, 0.0)
     det_b = max(b11 * b22 - b12 * b12, 0.0)

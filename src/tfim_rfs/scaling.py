@@ -467,8 +467,11 @@ def best_collapse_exponent(sizes, peaks=None) -> float:
 
     The curves are sampled once; each trial exponent is the same sampling
     with its ``nu`` replaced, so the chain is not resampled.  Golden-section
-    search stops at a bracket narrower than 1e-3.
+    search stops at a bracket narrower than 1e-3.  Raises ValueError for
+    fewer than 2 distinct sizes: one curve collapses at every exponent.
     """
+    if len(set(int(n) for n in sizes)) < 2:
+        raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {list(sizes)}")
     sampled = data_collapse(sizes, peaks=peaks)
     return golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
                               *_NU_BOUNDS, _NU_TOL)

@@ -220,6 +220,18 @@ def test_import_needs_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_package_reexports_each_module_name():
+    import tfim_rfs
+
+    modules = (tfim_rfs.elliptic, tfim_rfs.exact, tfim_rfs.rdm, tfim_rfs.rfs, tfim_rfs.scaling)
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared)) == len(tfim_rfs.__all__) == 31
+    assert tfim_rfs.__all__ == sorted(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(tfim_rfs, name) is getattr(module, name)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nu_must_be_finite(value):
     # A separate process, so that warnings printed before the error reach stderr.

@@ -31,6 +31,11 @@ CASES = {
                           "--delta", "1e-5", "--format", "json"],
     "peak": ["peak", "--sizes", "12,64"],
     "scaling": ["scaling", "--sizes", "64,128,256,512,1024"],
+    # N = 4 peaks at lam 0.694, outside the bracket; the other sizes fit.
+    "scaling_peak_failure_csv": ["scaling", "--sizes", "4,6,8,10,12,14",
+                                 "--lambda-min", "0.8", "--lambda-max", "1.1"],
+    "scaling_peak_failure_json": ["scaling", "--sizes", "4,6,8,10,12,14",
+                                  "--lambda-min", "0.8", "--lambda-max", "1.1", "--format", "json"],
     "peak_no_interior_max": ["peak", "--sizes", "64", "--lambda-min", "1.05",
                              "--lambda-max", "1.2"],
     "collapse_csv": ["collapse", "--sizes", "64,128,256", "--nu", "1.5"],

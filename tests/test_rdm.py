@@ -8,6 +8,7 @@ from tfim_rfs import (
     ConsistencyError,
     CorrelatorSet,
     SingularBlockError,
+    TwoSiteRdm,
     build_rdm,
     correlators_finite,
     rfs_closed_form,
@@ -109,3 +110,28 @@ class TestRdmBlocks:
         eigs = block_eigenvalues(rdm_at(1024, lam))
         assert np.all(eigs >= 0.0) and np.all(eigs <= 1.0)
         assert math.fsum(eigs) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestConstructionChecksPositivity:
+    # Element order: u+, u-, w, z+, z-, then their lam-derivatives.
+    @pytest.mark.parametrize("elements,block", [
+        ((-0.5, -0.5, 0.5, 0.0, 0.0), 1),
+        ((0.8, 0.8, -0.3, 0.0, 0.1), 2),  # det2 = 0.09 > 0: the closed form is defined
+        ((0.5, 0.5, 0.0, 1e-9, 0.0), 2),  # det2 = -1e-18: a determinant test is blind to it
+        ((math.nan, 0.5, 0.25, 0.0, 0.0), 1),
+        ((1.0, 0.0, 0.0, 0.0, math.nan), 1),
+        ((0.5, 0.0, math.nan, 0.0, 0.0), 2),
+        ((0.5, 0.0, 0.25, math.inf, 0.0), 2),
+    ])
+    def test_non_positive_block_rejected(self, elements, block):
+        with pytest.raises(ConsistencyError, match=f"RDM block {block} "):
+            TwoSiteRdm(*elements, 0.1, -0.1, 0.0, 0.05, 0.02)
+
+    @pytest.mark.parametrize("w,accepted", [(-5e-11, True), (-1e-10, True), (-2e-10, False)])
+    def test_roundoff_slack(self, w, accepted):
+        # Block 2 = w * identity: its smallest eigenvalue is w itself.
+        if accepted:
+            TwoSiteRdm(1.0 - 2 * w, 0.0, w, 0.0, 0.0, 0, 0, 0, 0, 0)
+        else:
+            with pytest.raises(ConsistencyError, match="smallest eigenvalue -2.000e-10"):
+                TwoSiteRdm(1.0 - 2 * w, 0.0, w, 0.0, 0.0, 0, 0, 0, 0, 0)

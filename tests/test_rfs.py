@@ -5,6 +5,7 @@ import pytest
 
 from tfim_rfs import (
     ChainSpec,
+    ConsistencyError,
     SingularBlockError,
     TwoSiteRdm,
     build_rdm,
@@ -14,6 +15,7 @@ from tfim_rfs import (
     rfs_closed_form,
     rfs_oracle,
     susceptibility,
+    susceptibility_thermo,
     uhlmann_fidelity,
 )
 
@@ -76,6 +78,16 @@ class TestClosedForm:
             rfs_closed_form(rdm_at(12, lam))
         assert str(info.value) == f"singular block ({dets}); use the fidelity oracle instead"
 
+    @pytest.mark.parametrize("lam,smallest", [
+        (1e-11, "-2.356e-06"), (1e-9, "-2.356e-08"), (1e-8, "-5.890e-10"),
+    ])
+    def test_thermo_cancellation_rejected(self, lam, smallest):
+        # Near lam = 0 the thermodynamic block 2 loses its digits to
+        # cancellation; its determinant is below 1e-15 in magnitude, but its
+        # smaller eigenvalue is clearly negative.
+        with pytest.raises(ConsistencyError, match=f"RDM block 2 .* {smallest}$"):
+            susceptibility_thermo(lam)
+
     @pytest.mark.parametrize("n", [64, 512, 8192])
     def test_nonnegative_over_sweep(self, n):
         for lam in np.linspace(0.05, 3.0, 30):
@@ -132,10 +144,9 @@ class TestUhlmannFidelity:
             assert 0.0 < f < 1.0
 
     def test_negative_eigenvalue_rejected(self):
-        broken = TwoSiteRdm(0.5, 0.4, 0.05, 0.2, 0.5, 0, 0, 0, 0, 0)  # block1 indefinite
-        good = rdm_at(64, 0.5)
-        with pytest.raises(ValueError):
-            uhlmann_fidelity(broken, good)
+        # An indefinite block cannot reach the fidelity: the record rejects it.
+        with pytest.raises(ConsistencyError, match="RDM block 1 "):
+            TwoSiteRdm(0.5, 0.4, 0.05, 0.2, 0.5, 0, 0, 0, 0, 0)
 
 
 class TestOracle:

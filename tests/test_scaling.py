@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,6 +271,13 @@ class TestDataCollapse:
         nu = best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert 0.9 <= nu <= 1.1
         assert nu.hex() == "0x1.feee90e14103cp-1"
+
+    @pytest.mark.parametrize("sizes", [[64], [64, 64], []])
+    def test_exponent_needs_two_sizes(self, sizes):
+        # With one curve collapse_quality is 0 at every nu, and the search
+        # would drift to the end of its bracket.
+        with pytest.raises(ValueError, match=re.escape(f"2 distinct sizes, got {sizes}")):
+            best_collapse_exponent(sizes)
 
     def test_exponent_search_samples_once(self, collapse_peaks, monkeypatch):
         calls = []
