@@ -306,20 +306,21 @@ def cmd_collapse(cfg: RunConfig):
 def cmd_thermo(cfg: RunConfig):
     columns = ["lambda", *_CORRELATORS, "chi"]
     rows = []
+    divergent = singular = 0
     for lam in _lambda_grid(cfg):
         c = correlators_thermo(lam)
-        row = {"lambda": lam, **{name: _finite(getattr(c, name)) for name in _CORRELATORS}}
+        row = {"lambda": lam, **{name: _finite(getattr(c, name)) for name in _CORRELATORS},
+               "chi": None}
         if c.derivatives_divergent:
-            row["chi"] = None
+            divergent += 1
         else:
             try:
                 row["chi"] = rfs_closed_form(build_rdm(c)).chi
             except SingularBlockError:
-                row["chi"] = None
+                singular += 1
         rows.append(row)
-    divergent = sum(1 for r in rows if r["chi"] is None)
-    metadata = {"divergent_rows": divergent} if divergent else {}
-    return columns, rows, metadata
+    counts = {"divergent_rows": divergent, "singular_rows": singular}
+    return columns, rows, {key: count for key, count in counts.items() if count}
 
 
 # name: (handler, help, whether lambda_min..lambda_max is a peak-search bracket,

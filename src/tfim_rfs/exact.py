@@ -22,10 +22,13 @@ Two evaluation regimes are provided:
 Finite sums run over the N/2 positive momenta (every summand is even in
 phi) in the half-angle variable s = sin^2(phi/2), which avoids the
 cancellation in omega and its numerators as phi -> 0 near lam = 1, and are
-accumulated pairwise (np.sum).  Against a 40-digit reference, chi at lam = 1
-is within about 1e-15 relative up to N = 32768.  For N <= 10 the tests also
-check every correlator and derivative against exact diagonalization of the
-spin Hamiltonian, which shares no step with the free-fermion solution.
+accumulated pairwise (np.sum).  The sums run in place, in three work arrays
+of N/2 doubles allocated once per call, and round every element as the plain
+expressions would (see ``_mode_terms``).  Against a 40-digit reference, chi
+at lam = 1 is within about 1e-15 relative up to N = 32768.  For N <= 10 the
+tests also check every correlator and derivative against exact
+diagonalization of the spin Hamiltonian, which shares no step with the
+free-fermion solution.
 """
 
 from __future__ import annotations
@@ -141,7 +144,15 @@ def _half_angle_table(n_sites: int) -> np.ndarray:
 
 
 def _mode_terms(spec: ChainSpec):
-    """Per-mode arrays shared by the finite sums: s, 1 - lam, 1/omega and sin^2(phi)/omega^3.
+    """Per-mode arrays shared by the finite sums: s, 1 - lam, 1/omega and two work arrays.
+
+    The finite sums run in place: each summand is evaluated with numpy
+    ``out=`` and in-place ufuncs into the three arrays allocated here (1/omega
+    and the two work arrays), and is then reduced by np.sum.  The operations
+    are those of the summand's plain expression, in the same order (up to
+    swapping the operands of + and *, which is exact), so every element is
+    rounded as the expression would round it.  The arrays belong to the call:
+    nothing is kept between calls but the read-only table of s.
 
     Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
     about 1.34e154, where omega would be infinite and every correlator 0).
@@ -153,21 +164,64 @@ def _mode_terms(spec: ChainSpec):
     if math.isinf(gap_sq):
         raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
     # omega > 0: every table entry s >= sin^2(pi/2N), and |1 - lam| > 0 off lam = 1.
-    inv = 1.0 / np.sqrt(gap_sq + 4.0 * lam * s)
-    return s, gap, inv, 4.0 * s * (1.0 - s) * inv * inv * inv
+    # 1/omega: 1 / sqrt(gap^2 + (4 lam) s).
+    inv = np.multiply(s, 4.0 * lam)
+    inv += gap_sq
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return s, gap, inv, np.empty_like(s), np.empty_like(s)
 
 
 def _sum_correlators(spec: ChainSpec, terms) -> CorrelatorSet:
-    """The momentum sums of ``correlators_finite`` over the ``_mode_terms`` arrays."""
-    s, gap, inv, sin_sq_inv3 = terms
+    """The momentum sums of ``correlators_finite`` over the ``_mode_terms`` arrays.
+
+    Leaves sin^2(phi)/omega^3 in the first work array for ``_finite_curvature``.
+    """
+    s, gap, inv, sin_sq_inv3, buf = terms
     lam = spec.lam
     half = len(s)
+    # Each block evaluates the expression in its comment, one operation at a
+    # time, in the order its parentheses and left-to-right reading give.
 
-    sz = float(np.sum((gap + 2.0 * lam * s) * inv)) / half
-    xx = float(np.sum((2.0 * s - gap) * inv)) / half
-    yy = float(np.sum((2.0 * s * (1.0 - 4.0 * lam * (1.0 - s)) - gap) * inv)) / half
+    # yy: ((2 s) (1 - (4 lam) (1 - s)) - gap) inv.  First, because it needs
+    # both work arrays.
+    two_s = np.multiply(s, 2.0, out=sin_sq_inv3)
+    np.subtract(1.0, s, out=buf)
+    buf *= 4.0 * lam
+    np.subtract(1.0, buf, out=buf)
+    buf *= two_s
+    buf -= gap
+    buf *= inv
+    yy = float(np.sum(buf)) / half
+
+    # sin^2(phi)/omega^3: ((((4 s) (1 - s)) inv) inv) inv.
+    np.multiply(s, 4.0, out=sin_sq_inv3)
+    np.subtract(1.0, s, out=buf)
+    sin_sq_inv3 *= buf
+    sin_sq_inv3 *= inv
+    sin_sq_inv3 *= inv
+    sin_sq_inv3 *= inv
     d_xx = float(np.sum(sin_sq_inv3)) / half
-    d_yy = float(np.sum((2.0 * lam * (1.0 - 2.0 * s) - 1.0) * sin_sq_inv3)) / half
+
+    # sz: (gap + (2 lam) s) inv.
+    np.multiply(s, 2.0 * lam, out=buf)
+    buf += gap
+    buf *= inv
+    sz = float(np.sum(buf)) / half
+
+    # xx: (2 s - gap) inv.
+    np.multiply(s, 2.0, out=buf)
+    buf -= gap
+    buf *= inv
+    xx = float(np.sum(buf)) / half
+
+    # d yy: ((2 lam) (1 - 2 s) - 1) sin^2(phi)/omega^3.
+    np.multiply(s, 2.0, out=buf)
+    np.subtract(1.0, buf, out=buf)
+    buf *= 2.0 * lam
+    buf -= 1.0
+    buf *= sin_sq_inv3
+    d_yy = float(np.sum(buf)) / half
     d_sz = -lam * d_xx
 
     zz = sz * sz - xx * yy
@@ -209,14 +263,31 @@ def _finite_curvature(spec: ChainSpec):
     """
     terms = _mode_terms(spec)
     c = _sum_correlators(spec, terms)
-    s, gap, inv, sin_sq_inv3 = terms
+    s, gap, inv, sin_sq_inv3, buf = terms
     lam = spec.lam
     half = len(s)
-    cos_phi = 1.0 - 2.0 * s
-    d2xx_terms = -3.0 * (2.0 * s - gap) * sin_sq_inv3 * inv * inv
-    d2_xx = float(np.sum(d2xx_terms)) / half
-    d2_yy = float(np.sum(2.0 * cos_phi * sin_sq_inv3
-                         + (2.0 * lam * cos_phi - 1.0) * d2xx_terms)) / half
+    # d2 xx: (((-3 (2 s - gap)) sin^2(phi)/omega^3) inv) inv, kept in buf for d2 yy.
+    np.multiply(s, 2.0, out=buf)
+    buf -= gap
+    buf *= -3.0
+    buf *= sin_sq_inv3
+    buf *= inv
+    buf *= inv
+    d2_xx = float(np.sum(buf)) / half
+    # d2 yy: (2 cos phi) sin^2(phi)/omega^3 + ((2 lam) cos phi - 1) d2xx, with
+    # cos phi = 1 - 2 s.  1/omega is spent, so its array takes the second term.
+    lam_part = inv
+    np.multiply(s, 2.0, out=lam_part)
+    np.subtract(1.0, lam_part, out=lam_part)
+    lam_part *= 2.0 * lam
+    lam_part -= 1.0
+    lam_part *= buf
+    np.multiply(s, 2.0, out=buf)
+    np.subtract(1.0, buf, out=buf)
+    buf *= 2.0
+    buf *= sin_sq_inv3
+    buf += lam_part
+    d2_yy = float(np.sum(buf)) / half
     d2_sz = -c.d_xx - lam * d2_xx
     d2_zz = (2.0 * (c.d_sz * c.d_sz + c.sz * d2_sz)
              - d2_xx * c.yy - 2.0 * c.d_xx * c.d_yy - c.xx * d2_yy)

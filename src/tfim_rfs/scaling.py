@@ -430,13 +430,15 @@ def collapse_quality(curve: CollapseCurve) -> float:
 
     Curves are compared at 101 evenly spaced x of their common window, by
     monotone piecewise-cubic interpolation (no overshoot).  Identical curves
-    give 0, and so does a single size; two curves a constant 0.1 apart on a
-    unit-swing shape give 0.1.  An empty overlap window raises ValueError,
-    and so do curves whose cubics overflow (rescaled x beyond about 1e100).
+    give 0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
+    Fewer than 2 sizes raise ValueError: a single curve has no spread to
+    measure.  So do an empty overlap window and curves whose cubics
+    overflow (rescaled x beyond about 1e100).
     """
     branches = curve.by_size()
     if len(branches) < 2:
-        return 0.0
+        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, "
+                         f"got {list(branches)}")
     lo = max(xs[0] for xs, _ in branches.values())
     hi = min(xs[-1] for xs, _ in branches.values())
     if lo >= hi:

@@ -164,6 +164,18 @@ def test_thermo_critical_row_flagged(capsys):
     assert float(critical["sz"]) == pytest.approx(2 / math.pi, abs=1e-12)
     assert critical["chi"] == "" and critical["d_sz"] == ""
     assert meta["divergent_rows"] == "1"
+    assert "singular_rows" not in meta
+
+
+def test_thermo_singular_row_counted_apart_from_divergent(capsys):
+    # lam = 0 has finite derivatives (0, 0.5, -0.5, 0) but a singular block.
+    code, out, _ = run_cli(
+        ["thermo", "--lambda-min", "0", "--lambda-max", "0.5", "--steps", "2"], capsys)
+    rows, meta = parse_csv(out)
+    assert code == 0
+    assert rows[0]["chi"] == "" and rows[0]["d_xx"] == "0.5"
+    assert rows[1]["chi"] != ""
+    assert meta == {"singular_rows": "1"}
 
 
 @pytest.mark.parametrize("args", [

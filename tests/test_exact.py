@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +17,7 @@ from tfim_rfs import (
     susceptibility,
     susceptibility_slope,
 )
+from tfim_rfs.exact import _finite_curvature
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -27,6 +29,107 @@ CRITICAL = {
     "zz": 16.0 / (3.0 * math.pi ** 2),
 }
 
+
+# float.hex of sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz and of the second
+# derivatives (d2_sz, d2_xx, d2_yy, d2_zz) of ``_finite_curvature``, one row
+# per coupling in PIN_LAMS.  The in-place sums must round every summand as
+# the plain expressions of ``_plain_sums`` do; any reordering of an
+# operation shows here as a bit difference.
+PIN_LAMS = (0.005, 0.5, 1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52, 1.0003, 3.0)
+FINITE_PINS = {
+    12: (
+        ("0x1.ffff2e48a83a4p-1 0x1.47ae5796e9000p-9 -0x1.47ad4b2701000p-9 0x1.ffff2e4867cd7p-1 "
+         "-0x1.47aeddcf4af9bp-9 0x1.00009d49f2931p-1 -0x1.fffc5045fe0efp-2 -0x1.47afa7238b768p-9 "
+         "-0x1.0001d7df19dbap-1 0x1.eb890d61674d5p-10 0x1.70a57a7ae3890p-8 -0x1.0003afbd92a63p-1"),
+        ("0x1.de4d3f8d798dfp-1 0x1.08f0295d28967p-2 -0x1.cd27eba81aaa5p-3 0x1.dca66501264f5p-1 "
+         "-0x1.1d6001848366ap-2 0x1.1d6001848366ap-1 -0x1.60d41e6ef4388p-2 -0x1.396156fa4b0aep-2 "
+         "-0x1.694d74d7d5a4fp-1 0x1.2fb5cd4d48f93p-2 0x1.6510c9a364eebp-1 -0x1.c90c26f64fbc8p-1"),
+        ("0x1.46e1ccb5fa74dp-1 0x1.46e1ccb5fa749p-1 -0x1.bdf936c5bec00p-3 0x1.17e085518cf70p-1 "
+         "-0x1.e804e47c9147ep-1 0x1.e804e47c91480p-1 0x1.0cd4d748dc357p-1 -0x1.5840a767c188ap+0 "
+         "0x1.e804e47c9140cp-2 -0x1.6e03ab5d6cf44p+0 0x1.619a78d823308p-1 0x1.5840a767c182cp-1"),
+        ("0x1.46e1ccb5fa74bp-1 0x1.46e1ccb5fa74bp-1 -0x1.bdf936c5bebfdp-3 0x1.17e085518cf6ep-1 "
+         "-0x1.e804e47c9147bp-1 0x1.e804e47c9147bp-1 0x1.0cd4d748dc356p-1 -0x1.5840a767c1887p+0 "
+         "0x1.e804e47c9147ep-2 -0x1.6e03ab5d6cf5dp+0 0x1.619a78d8232d0p-1 0x1.5840a767c1884p-1"),
+        ("0x1.46e1ccb5fa749p-1 0x1.46e1ccb5fa74dp-1 -0x1.bdf936c5bebf8p-3 0x1.17e085518cf6bp-1 "
+         "-0x1.e804e47c9147dp-1 0x1.e804e47c9147bp-1 0x1.0cd4d748dc359p-1 -0x1.5840a767c1887p+0 "
+         "0x1.e804e47c914eep-2 -0x1.6e03ab5d6cf78p+0 0x1.619a78d823298p-1 0x1.5840a767c18ebp-1"),
+        ("0x1.46bc5296abf61p-1 0x1.47074564f4209p-1 -0x1.bda69cdb21f41p-3 0x1.17aba5c78e0aap-1 "
+         "-0x1.e7f1fca87498cp-1 0x1.e7cc862417b68p-1 0x1.0cefd481c54b9p-1 -0x1.58334c7e5424ap+0 "
+         "0x1.f0a5017a4501cp-2 -0x1.6ff3413e8c044p+0 0x1.5d3d45d2a5945p-1 0x1.5f534b347fd31p-1"),
+        ("0x1.5a492419e1e10p-3 0x1.f1777b7757c8cp-1 -0x1.d48ccbb2fb6b5p-7 0x1.5c04e61a31009p-5 "
+         "-0x1.db88d0d5bc02ep-5 0x1.3d05e08e7d574p-6 0x1.42028318a8892p-7 -0x1.d9863434ae8aep-6 "
+         "0x1.4bbfd01962530p-5 -0x1.46d72aeb15ff1p-6 -0x1.500ef08bac54fp-7 0x1.e7259e26fd4bcp-6"),
+    ),
+    1024: (
+        ("0x1.ffff2e48a83a4p-1 0x1.47ae5796e9000p-9 -0x1.47ad4b2701080p-9 0x1.ffff2e4867cd7p-1 "
+         "-0x1.47aeddcf4af9cp-9 0x1.00009d49f2932p-1 -0x1.fffc5045fe0f0p-2 -0x1.47afa7238b729p-9 "
+         "-0x1.0001d7df19dbbp-1 0x1.eb890d6167800p-10 0x1.70a57a7ae3830p-8 -0x1.0003afbd92a64p-1"),
+        ("0x1.de517d0c336a1p-1 0x1.08dd9e24a161dp-2 -0x1.cd2e3d4d2e4c5p-3 0x1.dcaca345680dcp-1 "
+         "-0x1.1c9a7e8a180afp-2 0x1.1c9a7e8a180afp-1 -0x1.61277d862c82ap-2 -0x1.383d0c0e3820ap-2 "
+         "-0x1.61277d862c829p-1 0x1.1233fbf051de8p-2 0x1.61277d862c828p-1 -0x1.bce8ef89241fbp-1"),
+        ("0x1.45f30f3d45cb2p-1 0x1.45f30f3d45ca8p-1 -0x1.b299c30378f9bp-3 0x1.14acc08892c5ep-1 "
+         "-0x1.2f4577379d278p+1 0x1.2f4577379d279p+1 0x1.f1e48e6fb14c6p+0 -0x1.e043dc7d3e7bap+1 "
+         "0x1.2f457737690cep+0 -0x1.c6e832d351ae2p+1 0x1.6598a73795c30p+0 0x1.e043dc7ce608ap+0"),
+        ("0x1.45f30f3d45cadp-1 0x1.45f30f3d45cadp-1 -0x1.b299c30378f8cp-3 0x1.14acc08892c56p-1 "
+         "-0x1.2f4577379d277p+1 0x1.2f4577379d277p+1 0x1.f1e48e6fb14c8p+0 -0x1.e043dc7d3e7b8p+1 "
+         "0x1.2f4577379d276p+0 -0x1.c6e832d36bbb2p+1 0x1.6598a73761a88p+0 0x1.e043dc7d3e7bfp+0"),
+        ("0x1.45f30f3d45ca9p-1 0x1.45f30f3d45cb2p-1 -0x1.b299c30378f7cp-3 0x1.14acc08892c4fp-1 "
+         "-0x1.2f4577379d276p+1 0x1.2f4577379d275p+1 0x1.f1e48e6fb14ccp+0 -0x1.e043dc7d3e7b8p+1 "
+         "0x1.2f457737d1420p+0 -0x1.c6e832d385c83p+1 0x1.6598a7372d8ddp+0 0x1.e043dc7d96ef6p+0"),
+        ("0x1.459606cb37e28p-1 0x1.4650141d98086p-1 -0x1.b16852d2132aep-3 0x1.14197019edf3fp-1 "
+         "-0x1.2e02d0d3407dap+1 0x1.2deba0d401ec8p+1 0x1.ef91d2d2f3737p+0 -0x1.de216bf7832bap+1 "
+         "0x1.fdd766ae8af6ap+5 -0x1.0846c47b0b323p+6 -0x1.e96a8726ac0a6p+5 0x1.b040ce16f5d78p+6"),
+        ("0x1.5a48ac328495ap-3 0x1.f177849e2c21ap-1 -0x1.d47523cce5438p-7 0x1.5bfe870137eccp-5 "
+         "-0x1.db8206f09162ap-5 0x1.3d0159f5b641cp-6 0x1.41b49c0d7e584p-7 -0x1.d95ba2fdfd4d8p-6 "
+         "0x1.4ba503141d6bdp-5 -0x1.46c3cab4a5b32p-6 -0x1.4ef5256ba7c7ap-7 0x1.e689424d20595p-6"),
+    ),
+    2 ** 16: (
+        ("0x1.ffff2e48a83a4p-1 0x1.47ae5796e9000p-9 -0x1.47ad4b2701080p-9 0x1.ffff2e4867cd7p-1 "
+         "-0x1.47aeddcf4af9cp-9 0x1.00009d49f2932p-1 -0x1.fffc5045fe0f0p-2 -0x1.47afa7238b729p-9 "
+         "-0x1.0001d7df19dbbp-1 0x1.eb890d6167800p-10 0x1.70a57a7ae3830p-8 -0x1.0003afbd92a64p-1"),
+        ("0x1.de517d0c336a1p-1 0x1.08dd9e24a161ep-2 -0x1.cd2e3d4d2e4c5p-3 0x1.dcaca345680dcp-1 "
+         "-0x1.1c9a7e8a180aep-2 0x1.1c9a7e8a180aep-1 -0x1.61277d862c828p-2 -0x1.383d0c0e38209p-2 "
+         "-0x1.61277d862c828p-1 0x1.1233fbf051deap-2 0x1.61277d862c829p-1 -0x1.bce8ef89241fcp-1"),
+        ("0x1.45f306dd22934p-1 0x1.45f306dd22924p-1 -0x1.b2995e81c3e0cp-3 0x1.14aca4188f694p-1 "
+         "-0x1.d8b83173edb11p+1 0x1.d8b83173edb13p+1 0x1.a26505a43b3f9p+1 -0x1.7ff6f1f055e66p+2 "
+         "0x1.d8b82e3241ee6p+0 -0x1.628a244687544p+2 0x1.0785b042a5f23p+1 0x1.7ff6ef2cb1958p+1"),
+        ("0x1.45f306dd2292cp-1 0x1.45f306dd2292cp-1 -0x1.b2995e81c3df2p-3 0x1.14aca4188f688p-1 "
+         "-0x1.d8b83173edb10p+1 0x1.d8b83173edb10p+1 0x1.a26505a43b3f9p+1 -0x1.7ff6f1f055e64p+2 "
+         "0x1.d8b83173edb08p+0 -0x1.628a2516f244ap+2 0x1.0785aea1d0112p+1 0x1.7ff6f1f055e73p+1"),
+        ("0x1.45f306dd22924p-1 0x1.45f306dd22934p-1 -0x1.b2995e81c3dd9p-3 0x1.14aca4188f67bp-1 "
+         "-0x1.d8b83173edb10p+1 0x1.d8b83173edb0ep+1 0x1.a26505a43b3fap+1 -0x1.7ff6f1f055e63p+2 "
+         "0x1.d8b834b59972cp+0 -0x1.628a25e75d351p+2 0x1.0785ad00fa301p+1 0x1.7ff6f4b3fa38ep+1"),
+        ("0x1.457ffe4063cbdp-1 0x1.46660b4bc2354p-1 -0x1.b10feb2eb7632p-3 0x1.13f3fa6500138p-1 "
+         "-0x1.4db1c07619c92p+1 0x1.4d9821bb30aeep+1 0x1.177a4c4ed141dp+1 -0x1.09f4d80f577e0p+2 "
+         "0x1.09812969ac40fp+10 -0x1.0a138634d6e43p+10 -0x1.08e11488596b8p+10 0x1.c2bbf065d2998p+10"),
+        ("0x1.5a48ac328495dp-3 0x1.f177849e2c21ap-1 -0x1.d47523cce5410p-7 0x1.5bfe870137ec6p-5 "
+         "-0x1.db8206f09162ap-5 0x1.3d0159f5b641cp-6 0x1.41b49c0d7e582p-7 -0x1.d95ba2fdfd4dap-6 "
+         "0x1.4ba503141d6bcp-5 -0x1.46c3cab4a5b31p-6 -0x1.4ef5256ba7c78p-7 0x1.e689424d20595p-6"),
+    ),
+    2 ** 18: (
+        ("0x1.ffff2e48a83a4p-1 0x1.47ae5796e9080p-9 -0x1.47ad4b2701100p-9 0x1.ffff2e4867cd7p-1 "
+         "-0x1.47aeddcf4af9cp-9 0x1.00009d49f2932p-1 -0x1.fffc5045fe0efp-2 -0x1.47afa7238b6a9p-9 "
+         "-0x1.0001d7df19dbbp-1 0x1.eb890d6167700p-10 0x1.70a57a7ae3850p-8 -0x1.0003afbd92a64p-1"),
+        ("0x1.de517d0c336a2p-1 0x1.08dd9e24a161ep-2 -0x1.cd2e3d4d2e4c4p-3 0x1.dcaca345680dep-1 "
+         "-0x1.1c9a7e8a180aep-2 0x1.1c9a7e8a180aep-1 -0x1.61277d862c829p-2 -0x1.383d0c0e38208p-2 "
+         "-0x1.61277d862c828p-1 0x1.1233fbf051deap-2 0x1.61277d862c829p-1 -0x1.bce8ef89241fcp-1"),
+        ("0x1.45f306dca4e95p-1 0x1.45f306dca4e85p-1 -0x1.b2995e7bdfea2p-3 0x1.14aca416e4beap-1 "
+         "-0x1.0899e2497bfaap+2 0x1.0899e2497bfabp+2 0x1.dae098c38458dp+1 -0x1.afe89cff865a2p+2 "
+         "0x1.0899c83c1de80p+1 -0x1.8ce6c6678aeedp+2 0x1.23c3923e93db4p+1 0x1.afe870c541431p+1"),
+        ("0x1.45f306dca4e8dp-1 0x1.45f306dca4e8dp-1 -0x1.b2995e7bdfe86p-3 0x1.14aca416e4bddp-1 "
+         "-0x1.0899e2497bfaap+2 0x1.0899e2497bfaap+2 0x1.dae098c38458ep+1 -0x1.afe89cff865a2p+2 "
+         "0x1.0899e2497bfa8p+1 -0x1.8ce6d36e39f7ep+2 0x1.23c3783135c8bp+1 0x1.afe89cff8659ap+1"),
+        ("0x1.45f306dca4e84p-1 0x1.45f306dca4e95p-1 -0x1.b2995e7bdfe66p-3 0x1.14aca416e4bcep-1 "
+         "-0x1.0899e2497bfa8p+2 0x1.0899e2497bfa7p+2 0x1.dae098c38458ep+1 -0x1.afe89cff8659fp+2 "
+         "0x1.0899fc56da0d6p+1 -0x1.8ce6e074e9010p+2 0x1.23c35e23d7b62p+1 0x1.afe8c939cb70ap+1"),
+        ("0x1.457ffe4063742p-1 0x1.46660b4bc28cep-1 -0x1.b10feb2eb6047p-3 0x1.13f3fa64ff7eap-1 "
+         "-0x1.4db1c060c1fbcp+1 0x1.4d9821a5da850p+1 0x1.177a4c3977d0dp+1 -0x1.09f4d7fd394e8p+2 "
+         "0x1.09811f089729bp+10 -0x1.0a137bd483236p+10 -0x1.08e10a2682f0bp+10 0x1.c2bbdec6ae5eep+10"),
+        ("0x1.5a48ac328495cp-3 0x1.f177849e2c21ap-1 -0x1.d47523cce5410p-7 0x1.5bfe870137ec5p-5 "
+         "-0x1.db8206f09162ap-5 0x1.3d0159f5b641cp-6 0x1.41b49c0d7e584p-7 -0x1.d95ba2fdfd4dap-6 "
+         "0x1.4ba503141d6bdp-5 -0x1.46c3cab4a5b32p-6 -0x1.4ef5256ba7c77p-7 0x1.e689424d20594p-6"),
+    ),
+}
 
 def fd6(fn, x, h=1e-5):
     # 6th-order central difference; truncation stays below 1e-7 even where
@@ -144,6 +247,74 @@ class TestFiniteCorrelators:
             offsets.append(c.d_sz + math.log(n) / math.pi)
         assert abs(offsets[0] - offsets[1]) < 0.01
         assert abs(offsets[1] - offsets[2]) < 0.01
+
+
+def _plain_sums(n, lam):
+    """sz, xx, yy, d_xx, d_yy, d2_xx, d2_yy as plain numpy expressions, one
+    temporary array per operation."""
+    s = tfim_rfs.exact._half_angle_table(n)
+    gap = 1.0 - lam
+    inv = 1.0 / np.sqrt(gap * gap + 4.0 * lam * s)
+    sin_sq_inv3 = 4.0 * s * (1.0 - s) * inv * inv * inv
+    d2xx_terms = -3.0 * (2.0 * s - gap) * sin_sq_inv3 * inv * inv
+    cos_phi = 1.0 - 2.0 * s
+    summands = (
+        (gap + 2.0 * lam * s) * inv,
+        (2.0 * s - gap) * inv,
+        (2.0 * s * (1.0 - 4.0 * lam * (1.0 - s)) - gap) * inv,
+        sin_sq_inv3,
+        (2.0 * lam * (1.0 - 2.0 * s) - 1.0) * sin_sq_inv3,
+        d2xx_terms,
+        2.0 * cos_phi * sin_sq_inv3 + (2.0 * lam * cos_phi - 1.0) * d2xx_terms,
+    )
+    return [float(np.sum(t)) / len(s) for t in summands]
+
+
+class TestFiniteSumsInPlace:
+    @pytest.mark.parametrize("n", [4, 6, 12, 64, 1000, 4096, 2 ** 16])
+    def test_equal_to_plain_expressions(self, n):
+        for lam in (0.0, 1e-300, 1e-9, 0.005, 0.7, 1.0 - 2.0 ** -52, 1.0,
+                    1.0 + 2.0 ** -52, 1.0003, 3.0, 1e8, 1e150):
+            c, (_, d2_xx, d2_yy, _) = _finite_curvature(ChainSpec(n, lam))
+            got = [c.sz, c.xx, c.yy, c.d_xx, c.d_yy, d2_xx, d2_yy]
+            assert [x.hex() for x in got] == [x.hex() for x in _plain_sums(n, lam)], lam
+
+    @pytest.mark.parametrize("n", sorted(FINITE_PINS))
+    def test_pinned_bits(self, n):
+        for lam, row in zip(PIN_LAMS, FINITE_PINS[n]):
+            spec = ChainSpec(n, lam)
+            c, second = _finite_curvature(spec)
+            assert correlators_finite(spec) == c
+            bits = [getattr(c, name).hex() for name in FIELDS + DERIVS]
+            assert bits + [d.hex() for d in second] == row.split(), f"N={n}, lam={lam!r}"
+
+    def test_interleaved_calls_do_not_alias(self):
+        # The work arrays are private to a call, and the shared table stays read-only.
+        a, b = ChainSpec(2 ** 16, 0.9996), ChainSpec(2 ** 16, 1.5)
+        first = _finite_curvature(a)
+        assert _finite_curvature(b) != first
+        assert correlators_finite(b) != first[0]
+        assert _finite_curvature(a) == first
+        assert correlators_finite(a) == first[0]
+        assert not tfim_rfs.exact._half_angle_table(2 ** 16).flags.writeable
+
+    @pytest.mark.parametrize("fn", [correlators_finite, _finite_curvature])
+    def test_allocation_peak(self, fn):
+        # Three work arrays of N/2 doubles per call; each temporary of the
+        # summands would add one more.
+        n = 2 ** 18
+        spec = ChainSpec(n, 0.9996)
+        fn(spec)  # the momentum table is built on first use, outside the bound
+        tracemalloc.start()
+        try:
+            fn(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = n // 2 * 8
+        bound = 3 * array + 64 * 1024
+        assert peak <= bound, (f"{fn.__name__} peaked at {peak} bytes = "
+                               f"{peak / array:.3f} arrays of {array} bytes; bound {bound}")
 
 
 @lru_cache(maxsize=None)

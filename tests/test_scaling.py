@@ -215,9 +215,13 @@ class TestFitMpmathReference:
 
 
 class TestDataCollapse:
-    def test_single_size_has_zero_spread(self):
-        curve = data_collapse([512], nu=1.0, peaks={512: find_peak(512)})
-        assert collapse_quality(curve) == 0.0
+    @pytest.mark.parametrize("sizes", [[64], []])
+    def test_fewer_than_two_sizes_rejected(self, sizes):
+        # A single curve has no spread; 0.0 would read as a perfect collapse.
+        xs = np.linspace(-1.0, 1.0, 21)
+        curve = CollapseCurve(samples={n: (xs, xs ** 2) for n in sizes}, nu=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"2 distinct sizes, got {sizes}")):
+            collapse_quality(curve)
 
     def test_constant_offset_definition(self):
         # two curves of unit swing offset by 0.1 -> quality 0.1
@@ -274,8 +278,7 @@ class TestDataCollapse:
 
     @pytest.mark.parametrize("sizes", [[64], [64, 64], []])
     def test_exponent_needs_two_sizes(self, sizes):
-        # With one curve collapse_quality is 0 at every nu, and the search
-        # would drift to the end of its bracket.
+        # Rejected before any curve is sampled, naming the sizes as given.
         with pytest.raises(ValueError, match=re.escape(f"2 distinct sizes, got {sizes}")):
             best_collapse_exponent(sizes)
 
