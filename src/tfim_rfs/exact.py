@@ -58,6 +58,10 @@ _CRITICAL_XX = 2.0 / pi
 _CRITICAL_YY = -2.0 / (3.0 * pi)
 _CRITICAL_ZZ = 16.0 / (3.0 * pi * pi)
 
+# Largest correlator magnitude accepted: 1 plus roundoff slack.
+_MAX_MAGNITUDE = 1.0 + 1e-12
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """A single evaluation point: chain length and Ising coupling.
@@ -84,7 +88,7 @@ class ChainSpec:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelatorSet:
     """Magnetization and nearest-neighbour correlators with lam-derivatives.
 
@@ -94,6 +98,9 @@ class CorrelatorSet:
     "finite" (with ``n_sites`` set) or "thermodynamic"; at the critical
     coupling in the thermodynamic limit the derivatives diverge and are
     reported as signed infinities, which ``derivatives_divergent`` reads.
+
+    An immutable value (frozen, slotted, hashable, picklable): one is built
+    per evaluated coupling, so its checks are written as plain comparisons.
     """
 
     sz: float
@@ -111,16 +118,19 @@ class CorrelatorSet:
     def __post_init__(self):
         if self.regime not in ("finite", "thermodynamic"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        values = (self.sz, self.xx, self.yy, self.zz)
-        if any(not math.isfinite(v) or abs(v) > 1.0 + 1e-12 for v in values):
-            raise ValueError(f"correlator magnitudes must be <= 1, got {values}")
-        if abs(self.zz - (self.sz * self.sz - self.xx * self.yy)) > 1e-12:
+        sz, xx, yy, zz = self.sz, self.xx, self.yy, self.zz
+        # NaN compares false and inf exceeds the bound, so both fail here.
+        if not (abs(sz) <= _MAX_MAGNITUDE and abs(xx) <= _MAX_MAGNITUDE
+                and abs(yy) <= _MAX_MAGNITUDE and abs(zz) <= _MAX_MAGNITUDE):
+            raise ValueError(f"correlator magnitudes must be <= 1, got {(sz, xx, yy, zz)}")
+        if abs(zz - (sz * sz - xx * yy)) > 1e-12:
             raise ValueError("zz does not satisfy zz = sz^2 - xx*yy")
 
     @property
     def derivatives_divergent(self) -> bool:
         """True when any derivative is not finite."""
-        return not all(math.isfinite(d) for d in (self.d_sz, self.d_xx, self.d_yy, self.d_zz))
+        return not (math.isfinite(self.d_sz) and math.isfinite(self.d_xx)
+                    and math.isfinite(self.d_yy) and math.isfinite(self.d_zz))
 
 
 def momentum_grid(spec: ChainSpec) -> np.ndarray:
@@ -308,7 +318,9 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
     k < 1 on both sides of the critical point, so lam < 1 and lam > 1 share
     this code path.  At lam = 1 exactly the correlators take their critical
     values and the derivatives diverge logarithmically; they are returned as
-    signed infinities, so ``derivatives_divergent`` is true.
+    signed infinities, so ``derivatives_divergent`` is true.  Where k rounds
+    to 1 (at every |1 - lam| below about 1.4e-9 and at some up to about
+    4e-8) a ValueError names lam and |1 - lam|.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -329,6 +341,9 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
     sqrt_lam = math.sqrt(lam)
     one_plus = 1.0 + lam
     k = 2.0 * sqrt_lam / one_plus
+    if not k < 1.0:
+        raise ValueError(f"lam={lam!r} is too close to 1 (|1 - lam| = {abs(1.0 - lam):.3g}): "
+                         "the elliptic modulus rounds to 1")
     kp_sq = ((1.0 - lam) / one_plus) ** 2  # 1 - k^2, cancellation-free
     big_k = elliptic_k(k)
     big_e = elliptic_e(k)

@@ -36,7 +36,7 @@ class ConsistencyError(RuntimeError):
     """An internally computed quantity violated a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoSiteRdm:
     """Block elements of the two-site RDM and their lam-derivatives.
 
@@ -44,6 +44,8 @@ class TwoSiteRdm:
     smaller eigenvalue (a + b)/2 - hypot((a - b)/2, c) below -1e-10, or NaN.
     A positive matrix may still have a singular block (the product state at
     lam = 0); ``rfs_closed_form`` rejects it from the block determinants.
+    The record is frozen, so the check holds for its lifetime; it is slotted,
+    hashable and picklable, and ``dataclasses.replace`` checks again.
     """
 
     u_plus: float
@@ -58,14 +60,24 @@ class TwoSiteRdm:
     d_z_minus: float
 
     def __post_init__(self):
-        blocks = ((self.u_plus, self.u_minus, self.z_minus), (self.w, self.w, self.z_plus))
-        for index, (a, b, c) in enumerate(blocks, 1):
-            smallest = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
-            if not smallest >= -_PSD_TOL:
-                raise ConsistencyError(
-                    f"RDM block {index} [[{a!r}, {c!r}], [{c!r}, {b!r}]] is not positive "
-                    f"semidefinite: smallest eigenvalue {smallest:.3e}"
-                )
+        # Both blocks written out: one is built per evaluated coupling.  Block 2
+        # keeps the general form, whose NaN from w - w rejects w = inf.
+        a, b, c = self.u_plus, self.u_minus, self.z_minus
+        smallest = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+        if not smallest >= -_PSD_TOL:
+            raise _not_positive(1, a, b, c, smallest)
+        a = b = self.w
+        c = self.z_plus
+        smallest = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+        if not smallest >= -_PSD_TOL:
+            raise _not_positive(2, a, b, c, smallest)
+
+
+def _not_positive(index, a, b, c, smallest) -> ConsistencyError:
+    return ConsistencyError(
+        f"RDM block {index} [[{a!r}, {c!r}], [{c!r}, {b!r}]] is not positive "
+        f"semidefinite: smallest eigenvalue {smallest:.3e}"
+    )
 
 
 def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:

@@ -57,14 +57,15 @@ class SingularBlockError(ValueError):
     """A block is singular, so the closed form does not apply."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RfsValue:
     """Susceptibility with provenance and diagnostics.
 
     ``chi_block1``/``chi_block2`` are the per-block contributions (closed
     form only).  ``oracle_delta`` is the base step of the oracle, and
     ``discrepancy`` the relative difference |closed - oracle| / closed when
-    both routes are available.
+    both routes are available.  An immutable value: frozen, slotted,
+    hashable and picklable.
     """
 
     chi: float

@@ -178,6 +178,13 @@ def test_thermo_singular_row_counted_apart_from_divergent(capsys):
     assert meta == {"singular_rows": "1"}
 
 
+def test_thermo_modulus_rounding_to_one_names_the_coupling(capsys):
+    # 2 sqrt(lam) / (1 + lam) rounds to 1; the error used to name only k=1.0.
+    code, out, err = run_cli(["thermo", "--lambda-min", "0.9999999999",
+                              "--lambda-max", "1.0000000001", "--steps", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "lam=0.9999999999" in err and "|1 - lam| = 1e-10" in err and "k=" not in err
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--sizes", "13"],
     ["sweep", "--sizes", "12", "--lambda-min", "1.2", "--lambda-max", "0.8"],

@@ -9,13 +9,16 @@ import pytest
 import tfim_rfs.exact
 from tfim_rfs import (
     ChainSpec,
+    ConsistencyError,
     CorrelatorSet,
+    SingularBlockError,
     build_rdm,
     correlators_finite,
     correlators_thermo,
     momentum_grid,
     susceptibility,
     susceptibility_slope,
+    susceptibility_thermo,
 )
 from tfim_rfs.exact import _finite_curvature
 
@@ -130,6 +133,53 @@ FINITE_PINS = {
          "0x1.4ba503141d6bdp-5 -0x1.46c3cab4a5b32p-6 -0x1.4ef5256ba7c77p-7 0x1.e689424d20594p-6"),
     ),
 }
+
+# float.hex of sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz of ``correlators_thermo``
+# and of ``susceptibility_thermo``, one row per coupling.  How the records are
+# built and checked must not change a bit of any output.
+THERMO_PINS = {
+    0.005: (
+        "0x1.ffff2e48a83a4p-1 0x1.47ae5796e351cp-9 -0x1.47ad4b27018a0p-9 "
+        "0x1.ffff2e4867cd6p-1 -0x1.47aeddcf4dd4ap-9 0x1.00009d49f9084p-1 "
+        "-0x1.fffc5045fbf22p-2 -0x1.47afa72390498p-9 0x1.8002c3cdae2bap-3"),
+    0.3: (
+        "0x1.f44726635042fp-1 0x1.36c74716bce7ep-3 -0x1.28a12925bcf97p-3 "
+        "0x1.f413d158ef016p-1 -0x1.3e31415648ab6p-3 0x1.09290bc7e7391p-1 "
+        "-0x1.ca71c6edfccc6p-2 -0x1.490ec84c44370p-3 0x1.a9f40b08c3c60p-3"),
+    0.97: (
+        "0x1.5c7cd146ec2b3p-1 0x1.2f1a70a5cef17p-1 -0x1.f148915f7ec08p-3 "
+        "0x1.36cad2f230f24p-1 -0x1.278360e2a2301p+0 0x1.30a71c9fbef4ep+0 "
+        "0x1.60f94ff683d5ep-1 -0x1.b0c8362af912bp+0 0x1.8ef6a6b9e6bd9p+0"),
+    1.0 - 1e-3: (
+        "0x1.4740551c33d41p-1 0x1.44a590977b97ap-1 -0x1.b6ef65874c5d1p-3 "
+        "0x1.16bf10631d894p-1 -0x1.1cce5eb16f32fp+1 0x1.1d175a6e790c5p+1 "
+        "0x1.cc56bcc4d332ap+0 -0x1.c0eafb1dca190p+1 0x1.8a37635294ab4p+2"),
+    1.0 + 1e-3: (
+        "0x1.44a5db41df153p-1 0x1.47400a84eb2cdp-1 -0x1.ae4285a7e8c31p-3 "
+        "0x1.129a729aaa12ep-1 -0x1.1c8febcbfe4a3p+1 0x1.1c47255c077fap+1 "
+        "0x1.cd192ba3dc896p+0 -0x1.c080f6f7f2548p+1 0x1.866a4246b9062p+2"),
+    1.0 - 1e-6: (
+        "0x1.45f3a5f4673ccp-1 0x1.45f267c4ccc8dp-1 -0x1.b29ba1e3d74abp-3 "
+        "0x1.14ada91b842d7p-1 -0x1.1b12eccf6a1a1p+2 0x1.1b12ff5c9c926p+2 "
+        "0x1.ffd286ed4da38p+1 -0x1.cf44e1ff3bfa0p+2 0x1.a58e9aecd9111p+4"),
+    1.0 + 1e-6: (
+        "0x1.45f267c60e2d3p-1 0x1.45f3a5f325daep-1 -0x1.b2971b17e6afbp-3 "
+        "0x1.14ab9f142577fp-1 -0x1.1b10892660e02p+2 0x1.1b10769958ec3p+2 "
+        "0x1.ffce0d5f1ba4cp+1 -0x1.cf40d39c3891bp+2 0x1.a585bba40de26p+4"),
+    1.5: (
+        "0x1.6c79ef99491e3p-2 0x1.c13129f0ab258p-1 -0x1.040f4e8e06bfcp-4 "
+        "0x1.7589b04c283e5p-3 -0x1.1955f062ba17cp-2 0x1.771d4083a2ca8p-3 "
+        "0x1.937b6d9f3c953p-4 -0x1.14dcb74267151p-2 0x1.860ce8f89635cp-5"),
+    3.0: (
+        "0x1.5a48ac3284973p-3 0x1.f177849e2c21cp-1 -0x1.d47523cce56c8p-7 "
+        "0x1.5bfe870137f8dp-5 -0x1.db8206f091606p-5 0x1.3d0159f5b6420p-6 "
+        "0x1.41b49c0d7e3dap-7 -0x1.d95ba2fdfd401p-6 0x1.d2d70d342c2fep-10"),
+    30.0: (
+        "0x1.111ac79dcb0e4p-6 0x1.ffdb9561b98cap-1 -0x1.235a20bd1454cp-13 "
+        "0x1.b4fcd4693975ep-12 -0x1.23647eb5712aap-11 0x1.36d1983901800p-16 "
+        "0x1.36dca722aaee6p-17 -0x1.d234de0f3c202p-16 0x1.4bdcce7d43f36p-23"),
+}
+
 
 def fd6(fn, x, h=1e-5):
     # 6th-order central difference; truncation stays below 1e-7 even where
@@ -418,6 +468,31 @@ class TestThermoCorrelators:
         with pytest.raises(ValueError):
             correlators_thermo(-0.2)
 
+    @pytest.mark.parametrize("lam", [1.0 - 2.0 ** -52, 1.0 - 1e-10, 1.0 + 1e-10, 1.0 + 1e-8])
+    def test_modulus_rounding_to_one_names_the_coupling(self, lam):
+        with pytest.raises(ValueError, match="rounds to 1") as info:
+            correlators_thermo(lam)
+        assert f"lam={lam!r}" in str(info.value)
+        assert f"|1 - lam| = {abs(1.0 - lam):.3g}" in str(info.value)
+
+
+class TestThermoPinnedBits:
+    @pytest.mark.parametrize("lam", sorted(THERMO_PINS))
+    def test_pinned_bits(self, lam):
+        c = correlators_thermo(lam)
+        bits = [getattr(c, name).hex() for name in FIELDS + DERIVS]
+        assert bits + [susceptibility_thermo(lam).hex()] == THERMO_PINS[lam].split()
+
+    @pytest.mark.parametrize("lam,error", [
+        (1.0 - 1e-10, ValueError),       # k rounds to 1
+        (1e-9, ConsistencyError),        # cancellation near 0 makes block 2 indefinite
+        (1000.0, SingularBlockError),    # det_i below 1e-12
+    ])
+    def test_pinned_exception_type(self, lam, error):
+        with pytest.raises(Exception) as info:
+            susceptibility_thermo(lam)
+        assert type(info.value) is error
+
 
 class TestLogDivergenceCoefficients:
     def test_xx_yy_combination_at_criticality(self):
@@ -450,3 +525,22 @@ class TestCorrelatorSetValidation:
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             CorrelatorSet(0.5, 0.1, 0.1, 0.24, 0, 0, 0, 0, regime="bulk")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 2e-12])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_or_large_value_rejected(self, field, bad):
+        values = [0.5, 0.1, 0.1, 0.24]
+        values[field] = bad
+        message = f"correlator magnitudes must be <= 1, got {tuple(values)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CorrelatorSet(*values, 0, 0, 0, 0, regime="finite")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_any_non_finite_derivative_is_divergent(self, field, bad):
+        derivatives = [0.1, -0.2, 0.3, -0.4]
+        finite = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives, regime="finite")
+        assert not finite.derivatives_divergent
+        derivatives[field] = bad
+        divergent = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives, regime="finite")
+        assert divergent.derivatives_divergent

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tfim_rfs import (
     TwoSiteRdm,
     build_rdm,
     correlators_finite,
+    correlators_thermo,
     rfs_closed_form,
 )
 
@@ -122,6 +125,10 @@ class TestConstructionChecksPositivity:
         ((1.0, 0.0, 0.0, 0.0, math.nan), 1),
         ((0.5, 0.0, math.nan, 0.0, 0.0), 2),
         ((0.5, 0.0, 0.25, math.inf, 0.0), 2),
+        # Infinite diagonals: inf - inf makes the eigenvalue NaN.  A shortcut
+        # w - |z+| for block 2 would read +inf here and accept the record.
+        ((0.5, 0.0, math.inf, 0.0, 0.0), 2),
+        ((math.inf, 0.0, 0.25, 0.0, 0.0), 1),
     ])
     def test_non_positive_block_rejected(self, elements, block):
         with pytest.raises(ConsistencyError, match=f"RDM block {block} "):
@@ -135,3 +142,42 @@ class TestConstructionChecksPositivity:
         else:
             with pytest.raises(ConsistencyError, match="smallest eigenvalue -2.000e-10"):
                 TwoSiteRdm(1.0 - 2 * w, 0.0, w, 0.0, 0.0, 0, 0, 0, 0, 0)
+
+
+# A real CorrelatorSet of each regime, and the TwoSiteRdm and RfsValue of the finite one.
+_FINITE = correlators_finite(ChainSpec(64, 0.9))
+_RHO = build_rdm(_FINITE)
+RECORDS = [_FINITE, correlators_thermo(0.9), _RHO, rfs_closed_form(_RHO)]
+RECORD_IDS = ["finite", "thermo", "rdm", "rfs_value"]
+
+
+class TestRecordContract:
+    # The records are immutable values: frozen, hashable, equal by value,
+    # picklable, with the field-by-field dataclass repr.
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_frozen(self, record):
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, 0.0)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_pickle_round_trip_keeps_hash_and_equality(self, record):
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone is not record
+        assert clone == record and hash(clone) == hash(record)
+        assert dataclasses.replace(record) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_repr_lists_every_field(self, record):
+        fields = ", ".join(f"{f.name}={getattr(record, f.name)!r}"
+                           for f in dataclasses.fields(record))
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_slotted(self, record):
+        # One of these records is built per evaluated coupling; slots keep that cheap.
+        assert not hasattr(record, "__dict__")
+
+    def test_replace_rechecks_positivity(self):
+        with pytest.raises(ConsistencyError, match="RDM block 2 "):
+            dataclasses.replace(_RHO, w=-0.3)
