@@ -2,9 +2,10 @@
 
 Exact finite-size and thermodynamic-limit correlators, the block-diagonal
 two-site reduced density matrix, the closed-form susceptibility with an
-independent Uhlmann-fidelity oracle, and the scaling analysis (peak growth,
-thermodynamic divergence, data collapse).  Each module declares its public
-names in its own ``__all__``, and the package re-exports them.
+Uhlmann-fidelity oracle that checks its algebra on the same RDMs, and the
+scaling analysis (peak growth, thermodynamic divergence, data collapse).
+Each module declares its public names in its own ``__all__``, and the
+package re-exports them.
 """
 
 from . import elliptic, exact, rdm, rfs, scaling

@@ -48,7 +48,6 @@ __all__ = [
     "CorrelatorSet",
     "correlators_finite",
     "correlators_thermo",
-    "momentum_grid",
 ]
 
 # Values of (sz, xx, yy, zz) at the critical coupling in the thermodynamic
@@ -94,8 +93,8 @@ class CorrelatorSet:
 
     sz = <s^z>, xx = <sx_0 sx_1>, yy = <sy_0 sy_1>, zz = <sz_0 sz_1>, and
     d_* are the first derivatives with respect to the coupling.  The zz
-    correlator satisfies zz = sz^2 - xx yy identically.  ``regime`` is
-    "finite" (with ``n_sites`` set) or "thermodynamic"; at the critical
+    correlator satisfies zz = sz^2 - xx yy identically.  The record holds
+    values only, not the point they were evaluated at.  At the critical
     coupling in the thermodynamic limit the derivatives diverge and are
     reported as signed infinities, which ``derivatives_divergent`` reads.
 
@@ -111,13 +110,8 @@ class CorrelatorSet:
     d_xx: float
     d_yy: float
     d_zz: float
-    regime: str
-    n_sites: int | None = None
-    lam: float | None = None
 
     def __post_init__(self):
-        if self.regime not in ("finite", "thermodynamic"):
-            raise ValueError(f"unknown regime {self.regime!r}")
         sz, xx, yy, zz = self.sz, self.xx, self.yy, self.zz
         # NaN compares false and inf exceeds the bound, so both fail here.
         if not (abs(sz) <= _MAX_MAGNITUDE and abs(xx) <= _MAX_MAGNITUDE
@@ -133,13 +127,13 @@ class CorrelatorSet:
                     and math.isfinite(self.d_yy) and math.isfinite(self.d_zz))
 
 
-def momentum_grid(spec: ChainSpec) -> np.ndarray:
+def _momentum_grid(n_sites: int) -> np.ndarray:
     """Mode angles phi_q = 2 pi q / N for half-odd q in {-M, ..., M}.
 
     The N angles lie in (-pi, pi), are symmetric under negation, and never
     hit 0 or +-pi (half-odd q excludes the gapless mode).
     """
-    n = spec.n_sites
+    n = n_sites
     m = (n - 1) / 2.0
     q = np.arange(-m, m + 1.0)
     return 2.0 * pi * q / n
@@ -148,7 +142,11 @@ def momentum_grid(spec: ChainSpec) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _half_angle_table(n_sites: int) -> np.ndarray:
     """Cached, read-only s = sin^2(phi/2) on the N/2 positive momenta."""
-    s = np.sin(0.5 * momentum_grid(ChainSpec(n_sites, 0.0))[n_sites // 2:]) ** 2
+    # Built through the N-point grid on purpose: freeing its N-double temporaries
+    # raises glibc malloc's dynamic mmap threshold, so every later call's three
+    # N/2-double work arrays reuse heap memory.  The direct sin(pi (q + 1/2) / N)^2
+    # has the same bits but faults ~700 times a call at N = 2^18 (see the tests).
+    s = np.sin(0.5 * _momentum_grid(n_sites)[n_sites // 2:]) ** 2
     s.setflags(write=False)
     return s
 
@@ -236,10 +234,7 @@ def _sum_correlators(spec: ChainSpec, terms) -> CorrelatorSet:
 
     zz = sz * sz - xx * yy
     d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(
-        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz,
-        regime="finite", n_sites=spec.n_sites, lam=lam,
-    )
+    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)
 
 
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
@@ -327,16 +322,10 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if lam == 0.0:
         # Fully polarized paramagnet; derivative limits of the sums.
-        return CorrelatorSet(
-            1.0, 0.0, 0.0, 1.0, 0.0, 0.5, -0.5, 0.0,
-            regime="thermodynamic", lam=lam,
-        )
+        return CorrelatorSet(1.0, 0.0, 0.0, 1.0, 0.0, 0.5, -0.5, 0.0)
     if lam == 1.0:
-        return CorrelatorSet(
-            _CRITICAL_SZ, _CRITICAL_XX, _CRITICAL_YY, _CRITICAL_ZZ,
-            -math.inf, math.inf, math.inf, -math.inf,
-            regime="thermodynamic", lam=lam,
-        )
+        return CorrelatorSet(_CRITICAL_SZ, _CRITICAL_XX, _CRITICAL_YY, _CRITICAL_ZZ,
+                             -math.inf, math.inf, math.inf, -math.inf)
 
     sqrt_lam = math.sqrt(lam)
     one_plus = 1.0 + lam
@@ -365,7 +354,4 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
 
     zz = sz * sz - xx * yy
     d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(
-        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz,
-        regime="thermodynamic", lam=lam,
-    )
+    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)

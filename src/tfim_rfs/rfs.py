@@ -1,6 +1,7 @@
 """Reduced fidelity susceptibility of the two-site RDM.
 
-Two independent routes are provided and cross-checked:
+Two routes are cross-checked; the oracle reuses ``correlators_finite`` and
+``build_rdm``, so it checks the closed form's block and derivative algebra only:
 
 * ``rfs_closed_form`` -- the RDM has the 2x2 blocks [[u+, z-], [z-, u-]] and
   [[w, z+], [z+, w]], and each nonsingular block contributes
@@ -37,13 +38,11 @@ from .rdm import TwoSiteRdm, _element_derivatives, build_rdm
 __all__ = [
     "RfsValue",
     "SingularBlockError",
-    "oracle_estimate",
     "rfs_closed_form",
     "rfs_oracle",
     "susceptibility",
     "susceptibility_slope",
     "susceptibility_thermo",
-    "uhlmann_fidelity",
 ]
 
 # Block determinants or traces at or below this are treated as singular
@@ -59,20 +58,17 @@ class SingularBlockError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RfsValue:
-    """Susceptibility with provenance and diagnostics.
+    """Susceptibility with its diagnostics.
 
     ``chi_block1``/``chi_block2`` are the per-block contributions (closed
-    form only).  ``oracle_delta`` is the base step of the oracle, and
-    ``discrepancy`` the relative difference |closed - oracle| / closed when
-    both routes are available.  An immutable value: frozen, slotted,
-    hashable and picklable.
+    form only), and ``discrepancy`` the relative difference
+    |closed - oracle| / closed (oracle only, when the closed form applies).
+    An immutable value: frozen, slotted, hashable and picklable.
     """
 
     chi: float
-    method: str
     chi_block1: float | None = None
     chi_block2: float | None = None
-    oracle_delta: float | None = None
     discrepancy: float | None = None
 
 
@@ -123,7 +119,7 @@ def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
                                  rho.d_u_plus, rho.d_u_minus, rho.d_z_minus)
     chi2, det2, _ = _block_terms(rho.w, rho.w, rho.z_plus, rho.d_w, rho.d_w, rho.d_z_plus)
     # Positional: keyword arguments cost the frozen dataclass about 0.3 us a call.
-    return RfsValue(_checked_sum(chi1, det1, chi2, det2), "closed_form", chi1, chi2)
+    return RfsValue(_checked_sum(chi1, det1, chi2, det2), chi1, chi2)
 
 
 def _block_fidelity(a11, a22, a12, b11, b22, b12) -> float:
@@ -135,7 +131,7 @@ def _block_fidelity(a11, a22, a12, b11, b22, b12) -> float:
     return math.sqrt(max(tr_ab + 2.0 * math.sqrt(det_a * det_b), 0.0))
 
 
-def uhlmann_fidelity(rho: TwoSiteRdm, rho_tilde: TwoSiteRdm) -> float:
+def _uhlmann_fidelity(rho: TwoSiteRdm, rho_tilde: TwoSiteRdm) -> float:
     """Uhlmann fidelity between two block-diagonal two-site RDMs.
 
     Both states share the block structure, so the fidelity is the sum of
@@ -152,7 +148,7 @@ def uhlmann_fidelity(rho: TwoSiteRdm, rho_tilde: TwoSiteRdm) -> float:
     return min(f, 1.0)
 
 
-def oracle_estimate(spec: ChainSpec, delta: float) -> float:
+def _oracle_estimate(spec: ChainSpec, delta: float) -> float:
     """Single-step fidelity estimate -2 ln F(rho(lam), rho(lam+delta)) / delta^2.
 
     ``delta`` may be negative; this is the raw (unextrapolated) quantity
@@ -162,7 +158,7 @@ def oracle_estimate(spec: ChainSpec, delta: float) -> float:
         raise ValueError("delta must be nonzero")
     rho = build_rdm(correlators_finite(spec))
     rho_shifted = build_rdm(correlators_finite(ChainSpec(spec.n_sites, spec.lam + delta)))
-    fid = uhlmann_fidelity(rho, rho_shifted)
+    fid = _uhlmann_fidelity(rho, rho_shifted)
     if fid <= 0.0:
         raise ValueError("vanishing fidelity between valid states")
     return -2.0 * math.log(fid) / (delta * delta)
@@ -177,8 +173,8 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
     cancels all odd orders, and one Richardson step over {delta, delta/2}
     then removes the delta^2 term, leaving O(delta^4).
 
-    Records the step used and, where the closed form applies, the relative
-    discrepancy against it.
+    Records, where the closed form applies, the relative discrepancy
+    against it.
     """
     if not _DELTA_MIN <= delta <= _DELTA_MAX:
         raise ValueError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {delta}")
@@ -186,7 +182,7 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
         raise ValueError(f"lam={spec.lam} too close to zero for step {delta}")
 
     def symmetric(d: float) -> float:
-        return 0.5 * (oracle_estimate(spec, d) + oracle_estimate(spec, -d))
+        return 0.5 * (_oracle_estimate(spec, d) + _oracle_estimate(spec, -d))
 
     coarse = symmetric(delta)
     fine = symmetric(delta / 2.0)
@@ -198,7 +194,7 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
         discrepancy = abs(closed.chi - chi) / closed.chi
     except SingularBlockError:
         pass
-    return RfsValue(chi=chi, method="oracle", oracle_delta=delta, discrepancy=discrepancy)
+    return RfsValue(chi, discrepancy=discrepancy)
 
 
 @lru_cache(maxsize=262144)

@@ -60,18 +60,9 @@ _NU_TOL = 1e-3
 
 
 class PeakSearchError(ValueError):
-    """No certified interior maximum.
-
-    ``lambdas`` holds the bracket ends and ``chis`` the susceptibility there,
-    when the slope of chi does not fall from positive to negative across the
-    bracket; both are None when a bracket end has a singular block or a later
-    certificate fails.
-    """
-
-    def __init__(self, message: str, lambdas=None, chis=None):
-        super().__init__(message)
-        self.lambdas = lambdas
-        self.chis = chis
+    """No certified interior maximum: the slope of chi does not fall from
+    positive to negative across the bracket, a bracket end has a singular
+    block, or a later certificate fails.  Its message names N and the cause."""
 
 
 @dataclass(frozen=True)
@@ -87,16 +78,15 @@ class PeakRecord:
 class ScalingFit:
     """Fitted slope/intercept with quality measure and named constants.
 
-    ``model`` is "sqrt_chi_vs_lnN" or "chi_vs_sq_log_lambda".  For the
-    squared-log model a (x + d1)^2 + d2 the amplitude a is stored as
-    ``slope`` and the additive constant d2 as ``intercept``.  A poor fit is
-    returned, not rejected; ``flagged`` reports it.
+    ``fit_finite_size`` fits sqrt(chi_m) = slope ln N + intercept.  For the
+    squared-log model a (x + d1)^2 + d2 of ``fit_thermo`` the amplitude a is
+    stored as ``slope`` and the additive constant d2 as ``intercept``.  A
+    poor fit is returned, not rejected; ``flagged`` reports it.
     """
 
     slope: float
     intercept: float
     r_squared: float
-    model: str
     params: dict = field(default_factory=dict)
 
     @property
@@ -105,7 +95,7 @@ class ScalingFit:
         return self.r_squared < 0.99
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
+def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximizer of fn on [lo, hi]; stops at bracket width <= tol."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -197,10 +187,7 @@ def find_peak(n_sites: int, bracket: tuple[float, float] = _PEAK_BRACKET) -> Pea
 
     slope_lo, slope_hi = end_slope(lo), end_slope(hi)
     if not slope_lo > 0.0 > slope_hi:
-        raise PeakSearchError(
-            f"no interior maximum of chi in bracket {bracket} for N={n_sites}",
-            lambdas=(lo, hi), chis=(susceptibility(n_sites, lo), susceptibility(n_sites, hi)),
-        )
+        raise PeakSearchError(f"no interior maximum of chi in bracket {bracket} for N={n_sites}")
     lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
     chi_m = susceptibility(n_sites, lam_m)
     if not (0.0 < lam_m < 2.0):
@@ -247,10 +234,7 @@ def fit_finite_size(peaks) -> ScalingFit:
         "sqrt_amplitude_ref": ref,
         "slope_rel_deviation": abs(slope - ref) / ref,
     }
-    return ScalingFit(
-        slope=slope, intercept=intercept, r_squared=r_sq,
-        model="sqrt_chi_vs_lnN", params=params,
-    )
+    return ScalingFit(slope=slope, intercept=intercept, r_squared=r_sq, params=params)
 
 
 def fit_sq_log_model(x, y):
@@ -321,10 +305,7 @@ def fit_thermo(lambdas) -> ScalingFit:
         "amplitude_ref": LOG_SQUARED_AMPLITUDE,
         "amplitude_rel_deviation": abs(a - LOG_SQUARED_AMPLITUDE) / LOG_SQUARED_AMPLITUDE,
     }
-    return ScalingFit(
-        slope=a, intercept=d2, r_squared=r_sq,
-        model="chi_vs_sq_log_lambda", params=params,
-    )
+    return ScalingFit(slope=a, intercept=d2, r_squared=r_sq, params=params)
 
 
 @dataclass(frozen=True)
@@ -475,5 +456,5 @@ def best_collapse_exponent(sizes, peaks=None) -> float:
     if len(set(int(n) for n in sizes)) < 2:
         raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {list(sizes)}")
     sampled = data_collapse(sizes, peaks=peaks)
-    return golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
-                              *_NU_BOUNDS, _NU_TOL)
+    return _golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
+                               *_NU_BOUNDS, _NU_TOL)

@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +21,11 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
-    momentum_grid,
     susceptibility,
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.exact import _finite_curvature
+from tfim_rfs.exact import _finite_curvature, _momentum_grid
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -190,23 +195,23 @@ def fd6(fn, x, h=1e-5):
 
 class TestMomentumGrid:
     def test_four_sites(self):
-        phi = momentum_grid(ChainSpec(4, 1.0))
+        phi = _momentum_grid(4)
         expected = np.array([-3, -1, 1, 3]) * math.pi / 4
         np.testing.assert_allclose(phi, expected, atol=1e-15)
 
     def test_six_sites_minimum_angle(self):
-        phi = momentum_grid(ChainSpec(6, 1.0))
+        phi = _momentum_grid(6)
         assert len(phi) == 6
         assert np.min(np.abs(phi)) == pytest.approx(math.pi / 6, abs=1e-15)
 
     @pytest.mark.parametrize("n", [4, 6, 64, 1000])
     def test_cosines_sum_to_zero(self, n):
-        phi = momentum_grid(ChainSpec(n, 0.5))
+        phi = _momentum_grid(n)
         assert abs(math.fsum(np.cos(phi))) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 30, 256])
     def test_negation_symmetry_and_open_endpoints(self, n):
-        phi = momentum_grid(ChainSpec(n, 1.0))
+        phi = _momentum_grid(n)
         assert len(phi) == n
         np.testing.assert_allclose(np.sort(-phi), np.sort(phi), atol=1e-15)
         assert np.all(np.abs(phi) > 0.0)
@@ -367,6 +372,38 @@ class TestFiniteSumsInPlace:
                                f"{peak / array:.3f} arrays of {array} bytes; bound {bound}")
 
 
+# Minor page faults of 20 calls each of correlators_finite and _finite_curvature
+# at N = 2^18, after 2 warm-up calls, in a fresh interpreter.
+_FAULT_PROBE = """
+import json, resource
+from tfim_rfs.exact import ChainSpec, _finite_curvature, correlators_finite
+spec = ChainSpec(2 ** 18, 0.9996)
+rises = []
+for fn in (correlators_finite, _finite_curvature):
+    for _ in range(2):
+        fn(spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        fn(spec)
+    rises.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(rises))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc malloc's reuse of freed heap memory")
+def test_finite_sums_take_no_page_faults():
+    # The work arrays reuse freed heap memory only because building the
+    # momentum table freed arrays of N doubles first (see _half_angle_table).
+    # A table built directly from N/2 angles took about 14 700 and 9 600
+    # faults here, and made a verify sweep at N = 2^16..2^18 40 % slower.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    rises = json.loads(proc.stdout)
+    assert max(rises) <= 20, f"minor page faults per 20 calls: {rises}"
+
+
 @lru_cache(maxsize=None)
 def _reference_table(reference, n):
     with reference.mp.workdps(reference.FINITE_DPS):
@@ -476,6 +513,25 @@ class TestThermoCorrelators:
         assert f"|1 - lam| = {abs(1.0 - lam):.3g}" in str(info.value)
 
 
+# |1 - lam| on both sides of the critical point.
+_CONVERGENCE_GAPS = (0.01, 0.015, 0.02, 0.03, 0.05, 0.1, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("n", [2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16])
+def test_finite_size_convergence_rate(n):
+    # Off criticality the ring approaches the thermodynamic limit
+    # exponentially in x = N |ln lam| = N / xi; the two lam-derivatives in chi
+    # bring down up to x^2.  The grid keeps x >= 10, where that term is below
+    # 5e-3.  The 1e-11 floor is the thermodynamic path's own error near
+    # |1 - lam| = 0.01.  Largest measured ratio to the bound: 0.22.
+    for lam in (1.0 + sign * gap for gap in _CONVERGENCE_GAPS for sign in (-1.0, 1.0)):
+        x = n * abs(math.log(lam))
+        assert x >= 10.0
+        chi_inf = susceptibility_thermo(lam)
+        gap = abs(susceptibility(n, lam) - chi_inf)
+        assert gap <= (x * x * math.exp(-x) + 1e-11) * chi_inf, (lam, x, gap / chi_inf)
+
+
 class TestThermoPinnedBits:
     @pytest.mark.parametrize("lam", sorted(THERMO_PINS))
     def test_pinned_bits(self, lam):
@@ -507,24 +563,20 @@ class TestLogDivergenceCoefficients:
 class TestCorrelatorSetValidation:
     def test_magnitude_violation(self):
         with pytest.raises(ValueError):
-            CorrelatorSet(1.5, 0.0, 0.0, 2.25, 0, 0, 0, 0, regime="finite")
+            CorrelatorSet(1.5, 0.0, 0.0, 2.25, 0, 0, 0, 0)
 
     def test_zz_identity_violation(self):
         with pytest.raises(ValueError):
-            CorrelatorSet(0.5, 0.1, 0.1, 0.9, 0, 0, 0, 0, regime="finite")
+            CorrelatorSet(0.5, 0.1, 0.1, 0.9, 0, 0, 0, 0)
 
     def test_unflagged_infinite_derivative(self):
         # Nothing flags a divergence: an infinite derivative is read off the
         # values, and no finite derivative matrix is built from it.
-        c = CorrelatorSet(0.5, 0.1, 0.1, 0.24, math.inf, 0, 0, 0, regime="finite")
+        c = CorrelatorSet(0.5, 0.1, 0.1, 0.24, math.inf, 0, 0, 0)
         assert c.derivatives_divergent
         with pytest.raises(ValueError):
             build_rdm(c)
         assert correlators_thermo(1.0).derivatives_divergent
-
-    def test_unknown_regime(self):
-        with pytest.raises(ValueError):
-            CorrelatorSet(0.5, 0.1, 0.1, 0.24, 0, 0, 0, 0, regime="bulk")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 2e-12])
     @pytest.mark.parametrize("field", range(4))
@@ -533,14 +585,14 @@ class TestCorrelatorSetValidation:
         values[field] = bad
         message = f"correlator magnitudes must be <= 1, got {tuple(values)}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            CorrelatorSet(*values, 0, 0, 0, 0, regime="finite")
+            CorrelatorSet(*values, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))
     def test_any_non_finite_derivative_is_divergent(self, field, bad):
         derivatives = [0.1, -0.2, 0.3, -0.4]
-        finite = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives, regime="finite")
+        finite = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives)
         assert not finite.derivatives_divergent
         derivatives[field] = bad
-        divergent = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives, regime="finite")
+        divergent = CorrelatorSet(0.5, 0.1, 0.1, 0.24, *derivatives)
         assert divergent.derivatives_divergent

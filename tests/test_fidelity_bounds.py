@@ -29,9 +29,9 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
-    momentum_grid,
     rfs_closed_form,
 )
+from tfim_rfs.exact import _momentum_grid
 
 SIZES = (4, 6, 8, 10, 12, 64, 256, 1024, 4096)
 # 306 couplings log-spaced on [0.01, 100]; none is exactly 1.
@@ -39,8 +39,7 @@ COUPLINGS = np.logspace(-2.0, 2.0, 306)
 
 
 def global_susceptibility(n_sites, lam):
-    spec = ChainSpec(n_sites, lam)
-    s = np.sin(0.5 * momentum_grid(spec)[n_sites // 2:]) ** 2
+    s = np.sin(0.5 * _momentum_grid(n_sites)[n_sites // 2:]) ** 2
     omega_sq = (1.0 - lam) ** 2 + 4.0 * lam * s
     return 0.25 * float(np.sum(4.0 * s * (1.0 - s) / (omega_sq * omega_sq)))
 

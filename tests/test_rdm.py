@@ -65,7 +65,7 @@ class TestBuildRdm:
 
     def test_positivity_violation_rejected(self):
         # magnitudes are legal but u_minus = (1 - 2 sz + zz)/4 goes negative
-        bad = CorrelatorSet(0.9, 0.9, 0.9, 0.0, 0, 0, 0, 0, regime="finite")
+        bad = CorrelatorSet(0.9, 0.9, 0.9, 0.0, 0, 0, 0, 0)
         with pytest.raises(ConsistencyError):
             build_rdm(bad)
 
@@ -84,7 +84,6 @@ class TestBuildRdm:
             mixed["sz"], mixed["xx"], mixed["yy"],
             mixed["sz"] ** 2 - mixed["xx"] * mixed["yy"],  # keep the identity
             mixed["d_sz"], mixed["d_xx"], mixed["d_yy"], mixed["d_zz"],
-            regime="finite",
         )
         rho_mix = build_rdm(mix)
         rho_a, rho_b = build_rdm(a), build_rdm(b)
