@@ -10,6 +10,8 @@ double precision without quadrature nodes.
 
 import math
 
+import numpy as np
+
 __all__ = ["elliptic_k", "elliptic_e"]
 
 # Relative gap |a - b| / a at which the AGM iteration stops; one step below
@@ -24,16 +26,39 @@ def _agm(k: float) -> tuple[float, float]:
     near k = 1.  The c_n = (a_n - b_n)/2 sequence (with c_0 = k) feeds the
     second-kind integral.
     """
+    sqrt = math.sqrt
     a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    c_sum = 0.5 * c * c
+    b = sqrt((1.0 - k) * (1.0 + k))
+    c_sum = 0.5 * k * k
     weight = 1.0
     while abs(a - b) > _AGM_RTOL * a:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
         weight *= 2.0
         c_sum += 0.5 * weight * c * c
     return a, c_sum
+
+
+def _elliptic_ke_array(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K(k), E(k)) for an array of moduli 0 <= k < 1, bitwise ``elliptic_k``
+    and ``elliptic_e`` of each element.
+
+    Each element runs ``_agm``'s steps and is frozen (``np.where`` on the live
+    mask) on the iteration where ``_agm`` would stop for it.  The live
+    elements have all taken the same number of steps, so one weight serves.
+    """
+    a = np.ones_like(k)
+    b = np.sqrt((1.0 - k) * (1.0 + k))
+    c_sum = 0.5 * k * k
+    weight = 1.0
+    live = abs(a - b) > _AGM_RTOL * a
+    while live.any():
+        a, b, c = (np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b),
+                   0.5 * (a - b))
+        weight *= 2.0
+        c_sum = np.where(live, c_sum + 0.5 * weight * c * c, c_sum)
+        live &= abs(a - b) > _AGM_RTOL * a
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (1.0 - c_sum)
 
 
 def elliptic_k(k: float) -> float:

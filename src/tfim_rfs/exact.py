@@ -41,7 +41,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .elliptic import elliptic_e, elliptic_k
+from .elliptic import _elliptic_ke_array, elliptic_e, elliptic_k
 
 __all__ = [
     "ChainSpec",
@@ -316,6 +316,10 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
     signed infinities, so ``derivatives_divergent`` is true.  Where k rounds
     to 1 (at every |1 - lam| below about 1.4e-9 and at some up to about
     4e-8) a ValueError names lam and |1 - lam|.
+
+    The fields come from ``_thermo_fields``, which ``fit_thermo`` also runs on
+    whole arrays of couplings (through ``_correlators_thermo_array``); both
+    round every value alike.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
@@ -328,30 +332,64 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
                              -math.inf, math.inf, math.inf, -math.inf)
 
     sqrt_lam = math.sqrt(lam)
-    one_plus = 1.0 + lam
-    k = 2.0 * sqrt_lam / one_plus
+    k = 2.0 * sqrt_lam / (1.0 + lam)
     if not k < 1.0:
         raise ValueError(f"lam={lam!r} is too close to 1 (|1 - lam| = {abs(1.0 - lam):.3g}): "
                          "the elliptic modulus rounds to 1")
-    kp_sq = ((1.0 - lam) / one_plus) ** 2  # 1 - k^2, cancellation-free
-    big_k = elliptic_k(k)
-    big_e = elliptic_e(k)
-    dk_dlam = (1.0 - lam) / (sqrt_lam * one_plus * one_plus)
+    return CorrelatorSet(*_thermo_fields(lam, sqrt_lam, k, elliptic_k(k), elliptic_e(k)))
+
+
+def _thermo_fields(lam, sqrt_lam, k, big_k, big_e):
+    """The 8 fields of ``correlators_thermo`` from lam, sqrt(lam), k, K(k) and E(k).
+
+    Arithmetic only, in one order, so it takes floats or arrays alike and
+    rounds each array element as it rounds the float.  Squares are written
+    as products: numpy squares that way, while Python's ``x ** 2`` calls pow.
+    """
+    one_plus = 1.0 + lam
+    gap, minus_gap = 1.0 - lam, lam - 1.0
+    pi_lam, three_pi_lam = pi * lam, 3.0 * pi * lam
+    kp = gap / one_plus
+    kp_sq = kp * kp  # 1 - k^2, cancellation-free
+    dk_dlam = gap / (sqrt_lam * one_plus * one_plus)
     kd = (big_e / kp_sq - big_k) / k * dk_dlam  # dK/dlam
     ed = (big_e - big_k) / k * dk_dlam          # dE/dlam
 
-    sz = ((1.0 - lam) * big_k + one_plus * big_e) / pi
-    xx = ((lam - 1.0) * big_k + one_plus * big_e) / (pi * lam)
-    p = (lam - 1.0) * (2.0 * lam * lam + 1.0)
+    sz = (gap * big_k + one_plus * big_e) / pi
+    xx = (minus_gap * big_k + one_plus * big_e) / pi_lam
+    p = minus_gap * (2.0 * lam * lam + 1.0)
     dp = 6.0 * lam * lam - 4.0 * lam + 1.0
     q = one_plus * (2.0 * lam * lam - 1.0)
     dq = 6.0 * lam * lam + 4.0 * lam - 1.0
-    yy = (big_k * p - big_e * q) / (3.0 * pi * lam)
+    yy = (big_k * p - big_e * q) / three_pi_lam
 
-    d_sz = (-big_k + (1.0 - lam) * kd + big_e + one_plus * ed) / pi
-    d_xx = (big_k + (lam - 1.0) * kd + big_e + one_plus * ed) / (pi * lam) - xx / lam
-    d_yy = (kd * p + big_k * dp - ed * q - big_e * dq) / (3.0 * pi * lam) - yy / lam
+    d_sz = (-big_k + gap * kd + big_e + one_plus * ed) / pi
+    d_xx = (big_k + minus_gap * kd + big_e + one_plus * ed) / pi_lam - xx / lam
+    d_yy = (kd * p + big_k * dp - ed * q - big_e * dq) / three_pi_lam - yy / lam
 
     zz = sz * sz - xx * yy
     d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)
+    return sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz
+
+
+def _correlators_thermo_array(lam: np.ndarray):
+    """``correlators_thermo`` of every coupling of an array, in one numpy pass.
+
+    Returns (fields, ok): the 8 ``CorrelatorSet`` fields as arrays, and the
+    mask of the couplings that pass the checks of ``correlators_thermo`` and
+    ``CorrelatorSet``, whose fields are bitwise the scalar ones.  The rest
+    may hold anything; lam = 0, a special case of the scalar path, is among
+    them.  The Wick check needs no mask: zz is sz^2 - xx yy computed the same
+    way, so the scalar check cannot fail either.  When some modulus rounds to
+    1, nothing is evaluated: fields is None and ok is all False.  Call it
+    under ``np.errstate(all="ignore")``: masked elements may overflow.
+    """
+    sqrt_lam = np.sqrt(lam)
+    k = 2.0 * sqrt_lam / (1.0 + lam)
+    if not np.all(k < 1.0):
+        return None, np.zeros(lam.shape, dtype=bool)
+    fields = _thermo_fields(lam, sqrt_lam, k, *_elliptic_ke_array(k))
+    ok = lam != 0.0
+    for value in fields[:4]:
+        ok &= abs(value) <= _MAX_MAGNITUDE
+    return fields, ok

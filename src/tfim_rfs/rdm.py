@@ -92,11 +92,7 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
             "correlator derivatives diverge at this point; "
             "evaluate at finite N or at lam != 1 instead"
         )
-    u_plus = (1.0 + 2.0 * c.sz + c.zz) / 4.0
-    u_minus = (1.0 - 2.0 * c.sz + c.zz) / 4.0
-    w = (1.0 - c.zz) / 4.0
-    z_plus = (c.xx + c.yy) / 4.0
-    z_minus = (c.xx - c.yy) / 4.0
+    u_plus, u_minus, w, z_plus, z_minus = _elements(c.sz, c.xx, c.yy, c.zz)
     d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(
         c.d_sz, c.d_xx, c.d_yy, c.d_zz
     )
@@ -106,9 +102,21 @@ def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     )
 
 
+def _elements(sz, xx, yy, zz):
+    """RDM elements (u+, u-, w, z+, z-) from (sz, xx, yy, zz), floats or arrays."""
+    two_sz = 2.0 * sz
+    return (
+        (1.0 + two_sz + zz) / 4.0,
+        (1.0 - two_sz + zz) / 4.0,
+        (1.0 - zz) / 4.0,
+        (xx + yy) / 4.0,
+        (xx - yy) / 4.0,
+    )
+
+
 def _element_derivatives(d_sz, d_xx, d_yy, d_zz):
     """lam-derivatives (u+, u-, w, z+, z-) of the RDM elements from those of
-    (sz, xx, yy, zz), of any order: the element map is affine."""
+    (sz, xx, yy, zz), of any order (the element map is affine), floats or arrays."""
     return (
         (2.0 * d_sz + d_zz) / 4.0,
         (-2.0 * d_sz + d_zz) / 4.0,

@@ -32,8 +32,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ChainSpec, _finite_curvature, correlators_finite, correlators_thermo
-from .rdm import TwoSiteRdm, _element_derivatives, build_rdm
+import numpy as np
+
+from .exact import (
+    ChainSpec,
+    _correlators_thermo_array,
+    _finite_curvature,
+    correlators_finite,
+    correlators_thermo,
+)
+from .rdm import TwoSiteRdm, _element_derivatives, _elements, build_rdm
 
 __all__ = [
     "RfsValue",
@@ -72,22 +80,23 @@ class RfsValue:
     discrepancy: float | None = None
 
 
-def _block_terms(a, b, c, da, db, dc):
-    """(chi_b, det, half) of the block [[a, c], [c, b]] with derivative block
-    [[da, dc], [dc, db]]: det = a b - c^2, half = (d/dlam det) / 2 and
-    chi_b = [(da - db)^2 + 4 dc^2 + 4 half^2 / det] / [4 (a + b)], or None
-    when det <= 1e-12.
-    """
-    det = a * b - c * c
-    half = 0.5 * (b * da + a * db) - c * dc
-    if det <= _SINGULAR_TOL:
-        return None, det, half
-    return ((da - db) ** 2 + 4.0 * dc ** 2 + 4.0 * half * half / det) / (4.0 * (a + b)), det, half
+def _block_det_half(a, b, c, da, db, dc):
+    """det = a b - c^2 and half = (d/dlam det) / 2 of the block [[a, c], [c, b]]
+    with derivative block [[da, dc], [dc, db]]; floats or arrays."""
+    return a * b - c * c, 0.5 * (b * da + a * db) - c * dc
+
+
+def _block_chi(a, b, da, db, dc, det, half):
+    """chi_b = [(da - db)^2 + 4 dc^2 + 4 half^2 / det] / [4 (a + b)] of a
+    nonsingular block; floats or arrays.  Squares are products, as numpy
+    squares: Python's ``x ** 2`` calls pow, which can round differently."""
+    diff = da - db
+    return (diff * diff + 4.0 * (dc * dc) + 4.0 * half * half / det) / (4.0 * (a + b))
 
 
 def _block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi, det, half):
-    """dchi_b/dlam of a ``_block_terms`` block, from its second derivatives
-    (dda, ddb, ddc) and its (chi_b, det, half): the quotient rule on chi_b,
+    """dchi_b/dlam of a block, from its second derivatives (dda, ddb, ddc) and
+    its chi_b, det and half: the quotient rule on chi_b,
     with d half = da db + (b dda + a ddb) / 2 - dc^2 - c ddc."""
     d_half = da * db + 0.5 * (b * dda + a * ddb) - dc * dc - c * ddc
     d_num = (
@@ -97,29 +106,32 @@ def _block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi, det, half):
     return (d_num - 4.0 * chi * (da + db)) / (4.0 * (a + b))
 
 
-def _checked_sum(chi1, det1, chi2, det2) -> float:
-    """chi1 + chi2, unless a block is singular."""
+def _check_nonsingular(det1, det2) -> None:
     if min(det1, det2) <= _SINGULAR_TOL:
         raise SingularBlockError(
             f"singular block (det1={det1:.3e}, det2={det2:.3e}); "
             "use the fidelity oracle instead"
         )
-    return chi1 + chi2
 
 
 def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
-    """Closed-form susceptibility chi_1 + chi_2, ``_block_terms`` of block 1
-    (u+, u-, z-) and block 2 (w, w, z+) of a two-site RDM.
+    """Closed-form susceptibility chi_1 + chi_2 of block 1 [[u+, z-], [z-, u-]]
+    and block 2 [[w, z+], [z+, w]] of a two-site RDM.
 
     Raises SingularBlockError when det_i <= 1e-12.  ``TwoSiteRdm`` holds
     only positive blocks, so det_i > 1e-12 forces tr_i > 2e-6 and each chi_i
     is a sum of squares over a positive trace: chi >= 0.
     """
-    chi1, det1, _ = _block_terms(rho.u_plus, rho.u_minus, rho.z_minus,
-                                 rho.d_u_plus, rho.d_u_minus, rho.d_z_minus)
-    chi2, det2, _ = _block_terms(rho.w, rho.w, rho.z_plus, rho.d_w, rho.d_w, rho.d_z_plus)
+    a, b, c = rho.u_plus, rho.u_minus, rho.z_minus
+    da, db, dc = rho.d_u_plus, rho.d_u_minus, rho.d_z_minus
+    w, z, dw, dz = rho.w, rho.z_plus, rho.d_w, rho.d_z_plus
+    det1, half1 = _block_det_half(a, b, c, da, db, dc)
+    det2, half2 = _block_det_half(w, w, z, dw, dw, dz)
+    _check_nonsingular(det1, det2)
+    chi1 = _block_chi(a, b, da, db, dc, det1, half1)
+    chi2 = _block_chi(w, w, dw, dw, dz, det2, half2)
     # Positional: keyword arguments cost the frozen dataclass about 0.3 us a call.
-    return RfsValue(_checked_sum(chi1, det1, chi2, det2), chi1, chi2)
+    return RfsValue(chi1 + chi2, chi1, chi2)
 
 
 def _block_fidelity(a11, a22, a12, b11, b22, b12) -> float:
@@ -214,18 +226,52 @@ def susceptibility_slope(n_sites: int, lam: float) -> float:
     RDM elements from the momentum sums.  The point passes the same checks
     as ``susceptibility``.
     """
-    c, second = _finite_curvature(ChainSpec(n_sites, lam))
-    rho = build_rdm(c)
-    dd_u_plus, dd_u_minus, dd_w, dd_z_plus, dd_z_minus = _element_derivatives(*second)
-    block1 = (rho.u_plus, rho.u_minus, rho.z_minus, rho.d_u_plus, rho.d_u_minus, rho.d_z_minus)
-    block2 = (rho.w, rho.w, rho.z_plus, rho.d_w, rho.d_w, rho.d_z_plus)
-    chi1, det1, half1 = _block_terms(*block1)
-    chi2, det2, half2 = _block_terms(*block2)
-    _checked_sum(chi1, det1, chi2, det2)
-    return (_block_slope(*block1, dd_u_plus, dd_u_minus, dd_z_minus, chi1, det1, half1)
-            + _block_slope(*block2, dd_w, dd_w, dd_z_plus, chi2, det2, half2))
+    correlators, second = _finite_curvature(ChainSpec(n_sites, lam))
+    rho = build_rdm(correlators)
+    a, b, c = rho.u_plus, rho.u_minus, rho.z_minus
+    da, db, dc = rho.d_u_plus, rho.d_u_minus, rho.d_z_minus
+    w, z, dw, dz = rho.w, rho.z_plus, rho.d_w, rho.d_z_plus
+    det1, half1 = _block_det_half(a, b, c, da, db, dc)
+    det2, half2 = _block_det_half(w, w, z, dw, dw, dz)
+    _check_nonsingular(det1, det2)
+    chi1 = _block_chi(a, b, da, db, dc, det1, half1)
+    chi2 = _block_chi(w, w, dw, dw, dz, det2, half2)
+    dda, ddb, ddw, ddz, ddc = _element_derivatives(*second)
+    return (_block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi1, det1, half1)
+            + _block_slope(w, w, z, dw, dw, dz, ddw, ddw, ddz, chi2, det2, half2))
 
 
 def susceptibility_thermo(lam: float) -> float:
     """Closed-form susceptibility in the thermodynamic limit (lam != 1)."""
     return rfs_closed_form(build_rdm(correlators_thermo(lam))).chi
+
+
+def _susceptibility_thermo_array(lam: np.ndarray):
+    """``susceptibility_thermo`` of every coupling of an array, in one numpy pass.
+
+    Returns (chi, ok).  Where ok is True the coupling passes every check of
+    the scalar path, and chi is bitwise its value: the formulas are the
+    scalar path's own functions.  Elsewhere chi may hold anything.  When some
+    coupling's elliptic modulus rounds to 1, nothing is evaluated and ok is
+    all False, so a caller that sends the rest through the scalar path stops
+    at its first failure, as a scalar loop does.
+    """
+    with np.errstate(all="ignore"):
+        fields, ok = _correlators_thermo_array(lam)
+        if fields is None:
+            return np.empty_like(lam), ok
+        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz = fields
+        for derivative in fields[4:]:
+            ok &= np.isfinite(derivative)
+        u_plus, u_minus, w, z_plus, z_minus = _elements(sz, xx, yy, zz)
+        d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(d_sz, d_xx, d_yy, d_zz)
+        det1, half1 = _block_det_half(u_plus, u_minus, z_minus, d_u_plus, d_u_minus, d_z_minus)
+        det2, half2 = _block_det_half(w, w, z_plus, d_w, d_w, d_z_plus)
+        # This mask also covers TwoSiteRdm's positivity check: with every
+        # |correlator| <= 1 + 1e-12, each block's trace is >= -5e-13, so an
+        # eigenvalue below -1e-10 leaves the other one positive and det < 0,
+        # up to a roundoff far below 1e-12.
+        ok &= (det1 > _SINGULAR_TOL) & (det2 > _SINGULAR_TOL)
+        chi = (_block_chi(u_plus, u_minus, d_u_plus, d_u_minus, d_z_minus, det1, half1)
+               + _block_chi(w, w, d_w, d_w, d_z_plus, det2, half2))
+    return chi, ok

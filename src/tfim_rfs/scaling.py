@@ -24,7 +24,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rfs import SingularBlockError, susceptibility, susceptibility_slope, susceptibility_thermo
+from .rfs import (
+    SingularBlockError,
+    _susceptibility_thermo_array,
+    susceptibility,
+    susceptibility_slope,
+    susceptibility_thermo,
+)
 
 __all__ = [
     "LOG_SQUARED_AMPLITUDE",
@@ -282,11 +288,21 @@ def fit_sq_log_model(x, y):
 def fit_thermo(lambdas) -> ScalingFit:
     """Fit the thermodynamic divergence chi(lam) = a (ln 1/|1-lam| + d1)^2 + d2.
 
-    All couplings must lie strictly on one side of the critical point; the
-    fitted amplitude is compared against the finite-size one (they agree
-    analytically, which is what fixes the collapse exponent at 1).
+    All couplings must be finite and lie strictly on one side of the critical
+    point; the fitted amplitude is compared against the finite-size one (they
+    agree analytically, which is what fixes the collapse exponent at 1).
+
+    chi is evaluated for the whole window in one numpy pass through the
+    formulas of ``susceptibility_thermo``, so the fit is bit for bit the fit of
+    ``[susceptibility_thermo(l) for l in lambdas]``.  A coupling that any check
+    of the scalar path flags goes through ``susceptibility_thermo`` itself, in
+    window order, so a window raises the exception, with the message, of its
+    first coupling that the scalar path rejects.
     """
     lambdas = [float(l) for l in lambdas]
+    for l in lambdas:
+        if not math.isfinite(l):
+            raise ValueError(f"couplings must be finite, got lam={l!r}")
     if len(lambdas) < 4:
         raise ValueError("need at least 4 couplings")
     if any(l == 1.0 for l in lambdas):
@@ -296,7 +312,9 @@ def fit_thermo(lambdas) -> ScalingFit:
         raise ValueError("couplings must not mix the lam < 1 and lam > 1 branches")
 
     x = np.array([math.log(1.0 / abs(1.0 - l)) for l in lambdas])
-    y = np.array([susceptibility_thermo(l) for l in lambdas])
+    y, ok = _susceptibility_thermo_array(np.array(lambdas))
+    for i in np.flatnonzero(~ok):
+        y[i] = susceptibility_thermo(lambdas[i])
     a, d1, d2, r_sq = fit_sq_log_model(x, y)
     params = {
         "amplitude": a,

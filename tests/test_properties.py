@@ -1,16 +1,22 @@
 """Hypothesis property tests of the correlators and the susceptibility."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import tfim_rfs.scaling  # noqa: E402
 from tfim_rfs import (  # noqa: E402
     ChainSpec,
+    ConsistencyError,
     build_rdm,
     correlators_finite,
     correlators_thermo,
+    fit_thermo,
     susceptibility,
     susceptibility_thermo,
 )
@@ -67,3 +73,47 @@ def test_chi_between_one_site_and_global(n, lam):
     chi = susceptibility(n, lam)
     assert one_site_susceptibility(correlators_finite(ChainSpec(n, lam))) <= chi
     assert chi <= global_susceptibility(n, lam)
+
+
+@st.composite
+def thermo_windows(draw):
+    """4 to 30 couplings on one branch with |1 - lam| log-uniform in a decade
+    inside [1e-16, 1] (1 + 1e-16 rounds to lam = 1, 1 - 1 is lam = 0), half the
+    time with one more coupling of that branch inserted: below 1, 0, one with
+    infinite derivatives, or one in the indefinite range of block 1 or 2;
+    above 1, one past the singular-block or the NaN threshold; or 1 itself."""
+    below = draw(st.booleans())
+    top = draw(st.floats(min_value=0.0, max_value=15.0))
+    decade = st.floats(min_value=top, max_value=top + 1.0)
+    gaps = [10.0 ** -e for e in draw(st.lists(decade, min_size=4, max_size=30))]
+    window = [1.0 - g if below else 1.0 + g for g in gaps]
+    extras = [0.0, 1e-310, 1e-15, 1e-9, 1.0] if below else [300.0, 1e8, 1e103, 1.0]
+    extra = draw(st.none() | st.sampled_from(extras))
+    if extra is not None:
+        window.insert(draw(st.integers(min_value=0, max_value=len(window))), extra)
+    return window
+
+
+def _fit_outcome(window):
+    try:
+        fit = fit_thermo(window)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in (fit.slope, fit.intercept, fit.r_squared, *fit.params.values())]
+
+
+def _nothing_evaluated(lam):
+    return np.empty_like(lam), np.zeros(lam.shape, dtype=bool)
+
+
+@settings(PROPERTIES, max_examples=150)
+@given(window=thermo_windows())
+@example(window=[0.5, 0.6, 0.7, 1e-310])
+@example(window=[0.5, 1e-15, 0.6, 0.7])
+def test_fit_thermo_equals_scalar_composition(window):
+    # With an array pass that flags every coupling, fit_thermo fits
+    # x = ln 1/|1 - lam| against [susceptibility_thermo(l) for l in window],
+    # called in window order: the scalar composition, raising where it raises.
+    with mock.patch.object(tfim_rfs.scaling, "_susceptibility_thermo_array", _nothing_evaluated):
+        expected = _fit_outcome(window)
+    assert _fit_outcome(window) == expected

@@ -16,7 +16,7 @@ from tfim_rfs import (
     susceptibility,
     susceptibility_thermo,
 )
-from tfim_rfs.rfs import _oracle_estimate, _uhlmann_fidelity
+from tfim_rfs.rfs import _oracle_estimate, _susceptibility_thermo_array, _uhlmann_fidelity
 
 
 def rdm_at(n, lam):
@@ -108,6 +108,26 @@ class TestClosedForm:
             positions.append(lams[i])
         assert heights[0] < heights[1] < heights[2]
         assert abs(positions[0] - 1) > abs(positions[1] - 1) >= abs(positions[2] - 1)
+
+
+def test_array_pass_flags_exactly_the_scalar_failures():
+    # |1 - lam| log-uniform in [1e-7, 1] on both branches, where no modulus
+    # rounds to 1, and lam log-uniform in [1e-12, 1e110], which reaches the
+    # indefinite blocks near 0, the singular blocks and the NaN values.
+    rng = np.random.default_rng(2024)
+    gaps = 10.0 ** -rng.uniform(0.0, 7.0, 8000)
+    lams = np.concatenate([1.0 - gaps, 1.0 + gaps, 10.0 ** rng.uniform(-12.0, 110.0, 2000)])
+    chi, ok = _susceptibility_thermo_array(lams)
+    raised = 0
+    for lam, value, passed in zip(lams.tolist(), chi.tolist(), ok.tolist()):
+        try:
+            expected = susceptibility_thermo(lam)
+        except (ValueError, ConsistencyError):
+            assert not passed, lam
+            raised += 1
+            continue
+        assert passed and value.hex() == expected.hex(), lam
+    assert 0 < raised < len(lams)
 
 
 class TestUhlmannFidelity:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import tfim_rfs.scaling
 from tfim_rfs import (
     LOG_SQUARED_AMPLITUDE,
     CollapseCurve,
+    ConsistencyError,
     PeakRecord,
     PeakSearchError,
     ScalingFit,
@@ -163,6 +165,103 @@ class TestFitThermo:
     def test_critical_coupling_rejected(self):
         with pytest.raises(ValueError):
             fit_thermo([0.99, 0.999, 0.9999, 1.0])
+
+    @pytest.mark.parametrize("window", [
+        [0.9, 0.99, 0.999, math.nan],
+        [2.0, 3.0, 4.0, math.inf],
+        [0.5, 0.6, -math.inf, 0.7],
+    ])
+    def test_non_finite_coupling_rejected(self, window):
+        bad = next(l for l in window if not math.isfinite(l))
+        with pytest.raises(ValueError, match=re.escape(f"couplings must be finite, got lam={bad!r}")):
+            fit_thermo(window)
+
+
+def _bench_window(top, sign, seed=101, n=200):
+    """n couplings with |1 - lam| log-uniform in [top/10, top], stratified and
+    sorted by distance from 1, as the benchmark draws its decade windows."""
+    rng = random.Random(seed)
+    gaps = sorted(top * 10.0 ** -((i + rng.random()) / n) for i in range(n))
+    return [1.0 + sign * g for g in gaps]
+
+
+FIT_WINDOWS = {
+    "below_1e-2_1e-5": lambda: [1.0 - 10.0 ** -k for k in range(2, 6)],
+    "above_1e-2_1e-5": lambda: [1.0 + 10.0 ** -k for k in range(2, 6)],
+    "bench_below_1e-2": lambda: _bench_window(10.0 ** -1.5, -1.0),
+    "bench_above_1e-2": lambda: _bench_window(10.0 ** -1.5, 1.0),
+    "bench_below_1e-5": lambda: _bench_window(10.0 ** -4.5, -1.0),
+    "bench_above_1e-5": lambda: _bench_window(10.0 ** -4.5, 1.0),
+}
+
+
+class TestFitThermoArrayPath:
+    """fit_thermo evaluates a window in one numpy pass and sends only the
+    couplings that a check flags through susceptibility_thermo."""
+
+    # float.hex of (slope, intercept, r_squared), recorded while every
+    # coupling still went through susceptibility_thermo.
+    PINS = {
+        "below_1e-2_1e-5": ("0x1.3749a7c4fe822p-3", "0x1.77e40912cc160p-2", "0x1.ffffeed43d93ep-1"),
+        "above_1e-2_1e-5": ("0x1.2b5ce66e22757p-3", "-0x1.8af785e46d2c0p-3", "0x1.fffffd1e31798p-1"),
+        "bench_below_1e-2": ("0x1.3fda8f4f65449p-3", "0x1.eaa5510d5bf00p-2", "0x1.fffffd9e6ec6dp-1"),
+        "bench_above_1e-2": ("0x1.3c6b343c70252p-3", "-0x1.916ce3c26b280p-6", "0x1.ffffdc0d4b409p-1"),
+        "bench_below_1e-5": ("0x1.30e27195d0944p-3", "0x1.a55f2f86ab300p-4", "0x1.fffffffe4b117p-1"),
+        "bench_above_1e-5": ("0x1.2f655f2abbd65p-3", "-0x1.2dea26f367800p-7", "0x1.fffffffb003cap-1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIT_WINDOWS))
+    def test_pinned_bits(self, name):
+        fit = fit_thermo(FIT_WINDOWS[name]())
+        assert (fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex()) == self.PINS[name]
+
+    @pytest.mark.parametrize("window,error,message", [
+        ([0.9, 1.0 - 1e-10, 0.99, 0.999], ValueError,
+         "lam=0.9999999999 is too close to 1 (|1 - lam| = 1e-10): the elliptic modulus rounds to 1"),
+        ([0.5, 1e-9, 0.6, 0.7], ConsistencyError,
+         "RDM block 2 [[4.163336342344337e-16, 2.355966430713716e-08], "
+         "[2.355966430713716e-08, 4.163336342344337e-16]] is not positive semidefinite: "
+         "smallest eigenvalue -2.356e-08"),
+        ([1.5, 2.0, 1000.0, 3.0], SingularBlockError,
+         "singular block (det1=1.943e-15, det2=1.943e-15); use the fidelity oracle instead"),
+    ])
+    def test_pinned_exception(self, window, error, message):
+        with pytest.raises(Exception) as info:
+            fit_thermo(window)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @staticmethod
+    def count_scalar_calls(monkeypatch):
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            return susceptibility_thermo(lam)
+
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_thermo", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(FIT_WINDOWS))
+    def test_clear_window_makes_no_scalar_call(self, name, monkeypatch):
+        calls = self.count_scalar_calls(monkeypatch)
+        fit_thermo(FIT_WINDOWS[name]())
+        assert calls == []
+
+    @pytest.mark.parametrize("window,calls_made", [
+        # A modulus that rounds to 1 leaves the whole window to the scalar
+        # loop, which stops at its first failure.
+        ([0.9, 0.99, 1.0 - 1e-10, 0.999, 0.9999], 3),
+        ([1.0 + 1e-12, 1.0 + 1e-3, 1.0 + 1e-2, 1.1], 1),
+        # Only the flagged coupling goes through the scalar path.
+        ([0.5, 0.6, 1e-9, 0.7], 1),
+        ([0.0, 0.5, 0.6, 0.7], 1),
+        ([0.5, 0.6, 0.7, 1e-310], 1),  # the derivatives overflow
+    ])
+    def test_raising_window_stops_at_first_failure(self, window, calls_made, monkeypatch):
+        calls = self.count_scalar_calls(monkeypatch)
+        with pytest.raises((ValueError, ConsistencyError)):
+            fit_thermo(window)
+        assert len(calls) == calls_made
 
 
 def _thermo_window(lo, hi, sign):
