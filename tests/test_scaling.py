@@ -25,9 +25,10 @@ from tfim_rfs import (
     fit_sq_log_model,
     fit_thermo,
     susceptibility,
+    susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.scaling import _pchip
+from tfim_rfs.scaling import _brent_root, _pchip
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
 REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
@@ -97,6 +98,67 @@ class TestFindPeak:
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         for wide, narrow in zip(gaps, gaps[1:]):
             assert 8.0 <= wide / narrow <= 20.0
+
+    def test_window_start_matches_whole_bracket(self):
+        # Starting Brent in the critical window |lam - 1| <= 4/N must give
+        # bitwise the root that Brent finds on the whole default bracket.
+        mismatches = []
+        for n in [*range(4, 601, 2), *(2 ** k for k in range(10, 17))]:
+            lo, hi = 0.8, 1.1
+            slope_lo, slope_hi = susceptibility_slope(n, lo), susceptibility_slope(n, hi)
+            if not slope_lo > 0.0 > slope_hi:
+                continue  # no peak in the default bracket, as at N = 4
+            whole = _brent_root(lambda lam: susceptibility_slope(n, lam),
+                                lo, hi, slope_lo, slope_hi)
+            got = find_peak(n).lambda_m
+            if got != whole:
+                mismatches.append((n, got.hex(), whole.hex()))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("n", [30, 64, 250, 512, 4096, 2 ** 16])
+    def test_bracket_does_not_change_peak(self, n):
+        # At N = 30 the slopes at the last two doubles tie in magnitude, and
+        # without the tie rule the brackets below disagree by one ulp.
+        records = {find_peak(n, bracket=b) for b in ((0.8, 1.1), (0.5, 1.5), (0.95, 1.02))}
+        assert len(records) == 1
+
+    @pytest.mark.parametrize("peak,window_end_raises", [(0.85, False), (0.995, True)])
+    def test_falls_back_to_whole_bracket(self, peak, window_end_raises, monkeypatch):
+        # A model chi with its peak outside the window 1 +- 4/512, or inside
+        # it with a singular block at a window end: Brent searches the bracket.
+        window_ends = (1.0 - 4.0 / 512, 1.0 + 4.0 / 512)
+
+        def slope(n, lam):
+            if window_end_raises and lam in window_ends:
+                raise SingularBlockError("model block singular")
+            return peak - lam
+
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", slope)
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
+                            lambda n, lam: -(lam - peak) * (lam - peak))
+        assert find_peak(512).lambda_m == pytest.approx(peak, abs=1e-15)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_brent_tie_returns_larger_end(self, flip):
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+
+        def fn(lam):
+            return 1.0 if lam == lo else -1.0
+
+        args = (hi, lo, -1.0, 1.0) if flip else (lo, hi, 1.0, -1.0)
+        assert _brent_root(fn, *args) == hi
+
+    @pytest.mark.parametrize("k", range(9, 17))
+    def test_slope_evaluations_bounded(self, k, monkeypatch):
+        calls = []
+
+        def counted(n, lam):
+            calls.append(lam)
+            return susceptibility_slope(n, lam)
+
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", counted)
+        find_peak(2 ** k)
+        assert len(calls) <= 12
 
 
 class TestFitFiniteSize:
