@@ -26,9 +26,7 @@ from .exact import ChainSpec, correlators_finite, correlators_thermo
 from .rdm import build_rdm
 from .rfs import _DELTA_MAX, _DELTA_MIN, SingularBlockError, rfs_closed_form, rfs_oracle
 from .scaling import (
-    _PEAK_BRACKET,
     LOG_SQUARED_AMPLITUDE,
-    PeakSearchError,
     collapse_quality,
     data_collapse,
     find_peak,
@@ -99,8 +97,10 @@ def _parse_bool(text: str) -> bool:
 _OPTIONS = {
     "sizes": (_parse_sizes, (512, 1024, 2048, 4096, 8192, 16384),
               "comma-separated even chain sizes, e.g. 512,1024"),
-    "lambda_min": (float, 0.8, None),
-    "lambda_max": (float, 1.2, None),
+    "lambda_min": (float, 0.8, "lower end of the lambda grid "
+                               "(unused by peak, scaling and collapse)"),
+    "lambda_max": (float, 1.2, "upper end of the lambda grid "
+                               "(unused by peak, scaling and collapse)"),
     "steps": (int, 41, "grid points between lambda-min and lambda-max "
                        "(unused by peak, scaling and collapse)"),
     "delta": (float, 1e-4, "oracle base step (default 1e-4)"),
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         for key, (parse, _, option_help) in _OPTIONS.items():
             flag = "--" + key.replace("_", "-")
@@ -163,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (increasing precedence)."""
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
-    if _COMMANDS[args.command][2]:
-        merged["lambda_min"], merged["lambda_max"] = _PEAK_BRACKET
     if args.config is not None:
         merged.update(load_config_file(args.config))
     for key, (parse, _, _) in _OPTIONS.items():
@@ -234,30 +232,8 @@ def cmd_rfs(cfg: RunConfig):
     return _chi_table(cfg, ["n_sites", "lambda", "chi", "chi_block1", "chi_block2"])
 
 
-def _peaks(cfg: RunConfig, minimum: int | None = None):
-    """Peak records of the sizes that succeed, and a message per failed size.
-
-    Raises UsageError if any search fails or, given `minimum`, if fewer than
-    `minimum` succeed.
-    """
-    peaks, failures = [], []
-    for n in cfg.sizes:
-        try:
-            peaks.append(find_peak(n, bracket=(cfg.lambda_min, cfg.lambda_max)))
-        except PeakSearchError as exc:
-            failures.append(f"N={n}: {exc}")
-    if minimum is None and failures:
-        raise UsageError("peak search failed for sizes: " + "; ".join(failures))
-    if minimum is not None and len(peaks) < minimum:
-        raise UsageError(
-            f"only {len(peaks)} peak searches succeeded (need >= {minimum}); failures: "
-            + "; ".join(failures)
-        )
-    return peaks, failures
-
-
 def cmd_peak(cfg: RunConfig):
-    peaks, _ = _peaks(cfg)
+    peaks = [find_peak(n) for n in cfg.sizes]
     columns = ["n_sites", "lambda_m", "chi_m"]
     rows = [{"n_sites": p.n_sites, "lambda_m": p.lambda_m, "chi_m": p.chi_m} for p in peaks]
     return columns, rows, {}
@@ -266,7 +242,7 @@ def cmd_peak(cfg: RunConfig):
 def cmd_scaling(cfg: RunConfig):
     if len(cfg.sizes) < 5:
         raise UsageError(f"scaling needs at least 5 sizes, got {len(cfg.sizes)}")
-    peaks, failures = _peaks(cfg, minimum=5)
+    peaks = [find_peak(n) for n in cfg.sizes]
     fit = fit_finite_size(peaks)
     columns = ["n_sites", "lambda_m", "chi_m", "sqrt_chi_m"]
     rows = [
@@ -285,17 +261,13 @@ def cmd_scaling(cfg: RunConfig):
         "c1": fit.params["c1"],
         "flagged": fit.flagged,
     }
-    if failures:
-        metadata["peak_failures"] = failures
     return columns, rows, metadata
 
 
 def cmd_collapse(cfg: RunConfig):
     if len(cfg.sizes) < 3:
         raise UsageError(f"collapse needs at least 3 sizes, got {len(cfg.sizes)}")
-    peaks, _ = _peaks(cfg)
-    records = {p.n_sites: p for p in peaks}
-    curve = data_collapse(cfg.sizes, nu=cfg.nu, peaks=records)
+    curve = data_collapse(cfg.sizes, nu=cfg.nu)
     quality = collapse_quality(curve)
     columns = ["n_sites", "x", "y"]
     rows = [{"n_sites": n, "x": x, "y": y}
@@ -323,19 +295,17 @@ def cmd_thermo(cfg: RunConfig):
     return columns, rows, {key: count for key, count in counts.items() if count}
 
 
-# name: (handler, help, whether lambda_min..lambda_max is a peak-search bracket,
-# which then defaults to find_peak's _PEAK_BRACKET).
+# name: (handler, help).
 _COMMANDS = {
     "correlators": (cmd_correlators,
-                    "magnetization and neighbour correlators on an (N, lambda) grid", False),
-    "rfs": (cmd_rfs, "closed-form susceptibility with per-block contributions", False),
-    "sweep": (cmd_sweep,
-              "susceptibility over the (N, lambda) grid, optionally oracle-verified", False),
-    "peak": (cmd_peak, "peak location lambda_m and height chi_m per size", True),
-    "scaling": (cmd_scaling, "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)", True),
+                    "magnetization and neighbour correlators on an (N, lambda) grid"),
+    "rfs": (cmd_rfs, "closed-form susceptibility with per-block contributions"),
+    "sweep": (cmd_sweep, "susceptibility over the (N, lambda) grid, optionally oracle-verified"),
+    "peak": (cmd_peak, "peak location lambda_m and height chi_m per size"),
+    "scaling": (cmd_scaling, "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)"),
     "collapse": (cmd_collapse,
-                 "scaled collapse curves and their quality metric (needs >= 3 sizes)", True),
-    "thermo": (cmd_thermo, "thermodynamic-limit correlators and susceptibility per lambda", False),
+                 "scaled collapse curves and their quality metric (needs >= 3 sizes)"),
+    "thermo": (cmd_thermo, "thermodynamic-limit correlators and susceptibility per lambda"),
 }
 
 
@@ -356,11 +326,7 @@ def render_csv(columns, rows, metadata) -> str:
     for row in rows:
         writer.writerow([_cell(row.get(col)) for col in columns])
     for key, value in metadata.items():
-        if isinstance(value, list):
-            for item in value:
-                buffer.write(f"# {key} = {item}\n")
-        else:
-            buffer.write(f"# {key} = {_cell(value)}\n")
+        buffer.write(f"# {key} = {_cell(value)}\n")
     return buffer.getvalue()
 
 

@@ -83,14 +83,15 @@ def _not_positive(index, a, b, c, smallest) -> ConsistencyError:
 def build_rdm(c: CorrelatorSet) -> TwoSiteRdm:
     """Assemble the two-site RDM (values and derivatives) from correlators.
 
-    Raises ValueError for divergent-derivative input (critical thermodynamic
-    point), where no finite derivative matrix exists, and ConsistencyError,
-    from ``TwoSiteRdm``, if a block is not positive semidefinite.
+    Raises ValueError when a correlator derivative is not finite (at the
+    thermodynamic critical point they diverge; at subnormal lam one
+    overflows), and ConsistencyError, from ``TwoSiteRdm``, if a block is not
+    positive semidefinite.
     """
     if c.derivatives_divergent:
         raise ValueError(
-            "correlator derivatives diverge at this point; "
-            "evaluate at finite N or at lam != 1 instead"
+            "correlator derivatives are not finite: (d_sz, d_xx, d_yy, d_zz) = "
+            f"({c.d_sz!r}, {c.d_xx!r}, {c.d_yy!r}, {c.d_zz!r})"
         )
     u_plus, u_minus, w, z_plus, z_minus = _elements(c.sz, c.xx, c.yy, c.zz)
     d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .exact import ChainSpec
 from .rfs import (
-    SingularBlockError,
     _susceptibility_thermo_array,
     susceptibility,
     susceptibility_slope,
@@ -53,7 +53,6 @@ LOG_SQUARED_AMPLITUDE = (27.0 * math.pi**4 - 144.0 * math.pi**2 - 1024.0) / (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_PEAK_BRACKET = (0.8, 1.1)  # default lam bracket of find_peak
 
 # Fixed settings of the collapse: the window in w = N (lam - lam_m) and its
 # samples per size, the x grid of collapse_quality, and the exponent range and
@@ -66,9 +65,9 @@ _NU_TOL = 1e-3
 
 
 class PeakSearchError(ValueError):
-    """No certified interior maximum: the slope of chi does not fall from
-    positive to negative across the bracket, a bracket end has a singular
-    block, or a later certificate fails.  Its message names N and the cause."""
+    """No certified maximum of chi: its slope does not fall from positive to
+    negative across 1 +- 2/N, or the local-maximum certificate fails.  The
+    message names N."""
 
 
 @dataclass(frozen=True)
@@ -167,64 +166,28 @@ def _brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:
         fb = fn(b)
 
 
-def find_peak(n_sites: int, bracket: tuple[float, float] = _PEAK_BRACKET) -> PeakRecord:
-    """Locate the susceptibility peak of an N-site chain within ``bracket``.
+def find_peak(n_sites: int) -> PeakRecord:
+    """Locate the susceptibility peak of an N-site chain.
 
-    The peak is the root of dchi/dlam (``susceptibility_slope``, in closed
-    form).  The slope must be positive at the lower bracket end and negative
-    at the upper one, or PeakSearchError is raised (chained from the
-    SingularBlockError where a block is singular at an end).  Brent's method
-    then narrows a sign change down to adjacent doubles, so the slope falls
-    through zero at lam_m, and chi_m = ``susceptibility(n_sites, lam_m)``.
-
-    With nu = 1 the peak lies in the critical window |lam - 1| ~ 1/N
-    (1 - lam_m is about 21/N^2 at N = 512).  So Brent starts on
-    [max(lo, 1 - 4/N), min(hi, 1 + 4/N)] when that window is narrower than
-    the bracket and the slope falls from positive to negative across it; it
-    starts on the whole bracket when the window holds no sign change or a
-    block is singular at a window end.  Where the slopes at the final two
-    adjacent doubles tie in magnitude, the larger double is returned (at
-    N = 30 they tie).  With that rule the window start gives bitwise the
-    whole-bracket lam_m on every even N in 4..600 and on N = 2^10..2^16, and
-    N = 2^9..2^16 take 9-11 slope evaluations, against 17-26 on the whole
-    default bracket.
-
-    The returned record is re-certified as a local maximum against
-    lam_m +- 1e-6.
+    With nu = 1 the peak lies in the critical window: 1 - lam_m is 4.9/N^2 at
+    N = 4 and about 81/N^2 at N = 2^20.  So the peak is the root of dchi/dlam
+    (``susceptibility_slope``, in closed form) on [1 - 2/N, 1 + 2/N]: the
+    slope must be positive at the lower end and negative at the upper one, or
+    PeakSearchError is raised.  Brent's method narrows that sign change down
+    to adjacent doubles, and chi_m = ``susceptibility(n_sites, lam_m)``.  The
+    record is re-certified as a local maximum against lam_m +- 1e-6.
     """
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid bracket {bracket}")
+    ChainSpec(n_sites, 1.0)  # rejects a bad N before 2/N is formed
 
     def slope(lam):
         return susceptibility_slope(n_sites, lam)
 
-    def end_slope(lam):
-        try:
-            return slope(lam)
-        except SingularBlockError as exc:
-            raise PeakSearchError(
-                f"slope of chi not evaluable at bracket end lam={lam!r} for N={n_sites}: {exc}"
-            ) from exc
-
-    slope_lo, slope_hi = end_slope(lo), end_slope(hi)
+    lo, hi = 1.0 - 2.0 / n_sites, 1.0 + 2.0 / n_sites
+    slope_lo, slope_hi = slope(lo), slope(hi)
     if not slope_lo > 0.0 > slope_hi:
-        raise PeakSearchError(f"no interior maximum of chi in bracket {bracket} for N={n_sites}")
-    start = (lo, hi, slope_lo, slope_hi)
-    w_lo, w_hi = max(lo, 1.0 - 4.0 / n_sites), min(hi, 1.0 + 4.0 / n_sites)
-    if w_lo < w_hi and (w_lo, w_hi) != (lo, hi):
-        try:
-            s_lo = slope_lo if w_lo == lo else slope(w_lo)
-            s_hi = slope_hi if w_hi == hi else slope(w_hi)
-        except SingularBlockError:
-            pass
-        else:
-            if s_lo > 0.0 > s_hi:
-                start = (w_lo, w_hi, s_lo, s_hi)
-    lam_m = float(_brent_root(slope, *start))
+        raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
+    lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
     chi_m = susceptibility(n_sites, lam_m)
-    if not (0.0 < lam_m < 2.0):
-        raise PeakSearchError(f"peak location {lam_m} outside (0, 2) for N={n_sites}")
     for probe in (lam_m - 1e-6, lam_m + 1e-6):
         if susceptibility(n_sites, probe) > chi_m:
             raise PeakSearchError(

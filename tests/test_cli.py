@@ -206,16 +206,6 @@ def test_overflowing_coupling_exits_two(capsys):
     assert "lam=1e+155" in err and "overflows" in err
 
 
-def test_singular_bracket_end_lists_every_size(capsys):
-    # A singular block at the lower bracket end used to abort the search with
-    # a message naming neither the size nor the coupling.
-    code, out, err = run_cli(["peak", "--sizes", "64,128", "--lambda-min", "1e-13",
-                              "--lambda-max", "1.1"], capsys)
-    assert code == 2 and out == ""
-    for n in (64, 128):
-        assert f"N={n}: slope of chi not evaluable at bracket end lam=1e-13 for N={n}" in err
-
-
 @pytest.mark.parametrize("nu, message", [
     ("200", "N^(nu-1) overflows for N=64, nu=200.0"),
     ("130", "N^(nu-1) overflows for N=256, nu=130.0"),
@@ -319,11 +309,10 @@ def test_config_key_matches_flag(key, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,expected", [
     ("correlators", (0.8, 1.2)), ("rfs", (0.8, 1.2)), ("sweep", (0.8, 1.2)),
-    ("thermo", (0.8, 1.2)), ("peak", (0.8, 1.1)), ("scaling", (0.8, 1.1)),
-    ("collapse", (0.8, 1.1)),
+    ("thermo", (0.8, 1.2)), ("peak", (0.8, 1.2)), ("scaling", (0.8, 1.2)),
+    ("collapse", (0.8, 1.2)),
 ])
 def test_lambda_range_default(command, expected):
-    # peak, scaling and collapse read the range as the peak-search bracket.
     cfg = resolve_config(build_parser().parse_args([command]))
     assert (cfg.lambda_min, cfg.lambda_max) == expected
 

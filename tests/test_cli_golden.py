@@ -29,15 +29,8 @@ CASES = {
                             "--steps", "3", "--verify"],
     "sweep_verify_json": ["sweep", "--sizes", "64", "--steps", "3", "--verify",
                           "--delta", "1e-5", "--format", "json"],
-    "peak": ["peak", "--sizes", "12,64"],
+    "peak": ["peak", "--sizes", "4,12,64"],
     "scaling": ["scaling", "--sizes", "64,128,256,512,1024"],
-    # N = 4 peaks at lam 0.694, outside the bracket; the other sizes fit.
-    "scaling_peak_failure_csv": ["scaling", "--sizes", "4,6,8,10,12,14",
-                                 "--lambda-min", "0.8", "--lambda-max", "1.1"],
-    "scaling_peak_failure_json": ["scaling", "--sizes", "4,6,8,10,12,14",
-                                  "--lambda-min", "0.8", "--lambda-max", "1.1", "--format", "json"],
-    "peak_no_interior_max": ["peak", "--sizes", "64", "--lambda-min", "1.05",
-                             "--lambda-max", "1.2"],
     "collapse_csv": ["collapse", "--sizes", "64,128,256", "--nu", "1.5"],
     "collapse_json": ["collapse", "--sizes", "64,128,256", "--nu", "1.5", "--format", "json"],
 }
@@ -65,7 +58,7 @@ def test_golden_peaks_match_mpmath(reference):
     # The peak case prints lam_m and chi_m; check them against the root of
     # mpmath's chi' (perfbench/reference.py, 40 digits, shares no code).
     rows = list(csv.DictReader(io.StringIO(golden("peak")[1])))
-    assert [int(row["n_sites"]) for row in rows] == [12, 64]
+    assert [int(row["n_sites"]) for row in rows] == [4, 12, 64]
     for row in rows:
         lam_m, chi_m = float(row["lambda_m"]), float(row["chi_m"])
         with reference.mp.workdps(reference.FINITE_DPS):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tfim_rfs import (
     correlators_finite,
     correlators_thermo,
     rfs_closed_form,
+    susceptibility_thermo,
 )
 
 
@@ -70,9 +72,16 @@ class TestBuildRdm:
             build_rdm(bad)
 
     def test_divergent_derivatives_rejected(self):
-        from tfim_rfs import correlators_thermo
-        with pytest.raises(ValueError):
+        message = "correlator derivatives are not finite: (d_sz, d_xx, d_yy, d_zz) = "
+        with pytest.raises(ValueError, match=re.escape(message + "(-inf, inf, inf, -inf)")):
             build_rdm(correlators_thermo(1.0))
+
+    def test_overflowing_derivative_not_called_divergent(self):
+        # At a subnormal lam the true derivatives are finite (d_xx -> 1/2), but
+        # d_xx overflows on the way, so the message lists the values it got.
+        with pytest.raises(ValueError, match=r"not finite: .* = \(0\.0, inf, ") as info:
+            susceptibility_thermo(1e-310)
+        assert "diverge" not in str(info.value)
 
     def test_affine_in_correlators(self):
         a = correlators_finite(ChainSpec(256, 0.6))

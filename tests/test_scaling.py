@@ -60,26 +60,39 @@ class TestFindPeak:
         assert np.all(diffs[:i] > 0) and np.all(diffs[i:] < 0)
 
     def test_no_interior_maximum_raises_with_scan(self, monkeypatch):
-        # The two end slopes decide it; chi itself is not evaluated.
+        # A model slope whose root lies outside 1 +- 2/N: the two end slopes
+        # decide it, and chi itself is not evaluated.
         chi_calls = []
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", lambda n, lam: 0.9 - lam)
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
                             lambda *args: chi_calls.append(args))
-        with pytest.raises(PeakSearchError):
-            find_peak(256, bracket=(1.5, 2.0))
+        with pytest.raises(PeakSearchError, match=r"for N=256$"):
+            find_peak(256)
         assert chi_calls == []
 
-    def test_no_interior_maximum_carries_bracket_ends(self):
-        with pytest.raises(PeakSearchError, match=r"bracket \(1\.5, 2\.0\) for N=256"):
-            find_peak(256, bracket=(1.5, 2.0))
+    def test_no_interior_maximum_carries_bracket_ends(self, monkeypatch):
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", lambda n, lam: lam - 1.0)
+        with pytest.raises(PeakSearchError,
+                           match=re.escape("no maximum of chi in [0.9921875, 1.0078125] for N=256")):
+            find_peak(256)
 
-    def test_singular_bracket_end_raises_chained(self):
-        with pytest.raises(PeakSearchError, match=r"bracket end lam=1e-13 for N=64") as info:
-            find_peak(64, bracket=(1e-13, 1.1))
-        assert isinstance(info.value.__cause__, SingularBlockError)
+    @pytest.mark.parametrize("n", [0, 2, 7, -4])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n_sites must be even and >= 4"):
+            find_peak(n)
 
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            find_peak(256, bracket=(1.1, 0.8))
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 30, 64, 256, 1024])
+    def test_slope_changes_sign_once_inside_window(self, n):
+        # The search window 1 +- 2/N rests on this: over two decades on each
+        # side of lam = 1 the slope of chi falls through zero once, inside
+        # the window, and no block is singular.  The window ends are scanned
+        # too, so the change lies between two scanned points inside it.
+        lams = np.union1d(np.geomspace(0.01, 100.0, 400), [1.0 - 2.0 / n, 1.0 + 2.0 / n])
+        positive = np.array([susceptibility_slope(n, float(lam)) > 0.0 for lam in lams])
+        changes = np.flatnonzero(positive[:-1] != positive[1:])
+        assert len(changes) == 1
+        i = int(changes[0])
+        assert positive[i] and 1.0 - 2.0 / n <= lams[i] and lams[i + 1] <= 1.0 + 2.0 / n
 
     def test_matches_reference_peaks(self):
         # 25-digit mpmath peaks of perfbench/tables/reference.json: lam_m to
@@ -99,15 +112,17 @@ class TestFindPeak:
         for wide, narrow in zip(gaps, gaps[1:]):
             assert 8.0 <= wide / narrow <= 20.0
 
-    def test_window_start_matches_whole_bracket(self):
-        # Starting Brent in the critical window |lam - 1| <= 4/N must give
-        # bitwise the root that Brent finds on the whole default bracket.
+    def test_derived_window_matches_default_bracket(self):
+        # The reference for 1 +- 2/N: Brent on the former default bracket
+        # (0.8, 1.1) finds bitwise the same root wherever that bracket holds
+        # the peak (N = 4 peaks at lam 0.694, outside it).  At N = 30 the
+        # slopes at the last two doubles tie in magnitude.
         mismatches = []
         for n in [*range(4, 601, 2), *(2 ** k for k in range(10, 17))]:
             lo, hi = 0.8, 1.1
             slope_lo, slope_hi = susceptibility_slope(n, lo), susceptibility_slope(n, hi)
             if not slope_lo > 0.0 > slope_hi:
-                continue  # no peak in the default bracket, as at N = 4
+                continue
             whole = _brent_root(lambda lam: susceptibility_slope(n, lam),
                                 lo, hi, slope_lo, slope_hi)
             got = find_peak(n).lambda_m
@@ -117,26 +132,16 @@ class TestFindPeak:
 
     @pytest.mark.parametrize("n", [30, 64, 250, 512, 4096, 2 ** 16])
     def test_bracket_does_not_change_peak(self, n):
-        # At N = 30 the slopes at the last two doubles tie in magnitude, and
-        # without the tie rule the brackets below disagree by one ulp.
-        records = {find_peak(n, bracket=b) for b in ((0.8, 1.1), (0.5, 1.5), (0.95, 1.02))}
-        assert len(records) == 1
+        # Brent's root does not depend on the bracket that holds the peak,
+        # which is what lets find_peak search 1 +- 2/N.  At N = 30 the slopes
+        # at the last two doubles tie in magnitude; without the tie rule the
+        # brackets below disagree by one ulp.
+        def slope(lam):
+            return susceptibility_slope(n, lam)
 
-    @pytest.mark.parametrize("peak,window_end_raises", [(0.85, False), (0.995, True)])
-    def test_falls_back_to_whole_bracket(self, peak, window_end_raises, monkeypatch):
-        # A model chi with its peak outside the window 1 +- 4/512, or inside
-        # it with a singular block at a window end: Brent searches the bracket.
-        window_ends = (1.0 - 4.0 / 512, 1.0 + 4.0 / 512)
-
-        def slope(n, lam):
-            if window_end_raises and lam in window_ends:
-                raise SingularBlockError("model block singular")
-            return peak - lam
-
-        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", slope)
-        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
-                            lambda n, lam: -(lam - peak) * (lam - peak))
-        assert find_peak(512).lambda_m == pytest.approx(peak, abs=1e-15)
+        roots = {_brent_root(slope, lo, hi, slope(lo), slope(hi))
+                 for lo, hi in ((0.8, 1.1), (0.5, 1.5), (0.95, 1.02))}
+        assert roots == {find_peak(n).lambda_m}
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_brent_tie_returns_larger_end(self, flip):
@@ -158,7 +163,7 @@ class TestFindPeak:
 
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", counted)
         find_peak(2 ** k)
-        assert len(calls) <= 12
+        assert len(calls) <= 8
 
 
 class TestFitFiniteSize:
