@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -62,12 +63,12 @@ class RunConfig:
             raise UsageError("at least one size is required")
         if any(n % 2 != 0 or n < 4 for n in self.sizes):
             raise UsageError(f"sizes must be even and >= 4, got {list(self.sizes)}")
-        if not self.lambda_min < self.lambda_max:
-            raise UsageError(
-                f"lambda range must satisfy min < max, got [{self.lambda_min}, {self.lambda_max}]"
-            )
-        if self.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {self.steps}")
+        if _COMMANDS[self.command][1]:
+            if not self.lambda_min < self.lambda_max:
+                raise UsageError("lambda range must satisfy min < max, "
+                                 f"got [{self.lambda_min}, {self.lambda_max}]")
+            if self.steps < 1:
+                raise UsageError(f"steps must be >= 1, got {self.steps}")
         if not _DELTA_MIN <= self.delta <= _DELTA_MAX:
             raise UsageError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {self.delta}")
         if not math.isfinite(self.nu):
@@ -134,6 +135,7 @@ def load_config_file(path: str) -> dict:
     return {key: _OPTIONS[key][0](value) for key, value in values.items()}
 
 
+@functools.cache  # built on first use, once per process: a build takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfim-rfs",
@@ -143,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         for key, (parse, _, option_help) in _OPTIONS.items():
             flag = "--" + key.replace("_", "-")
@@ -295,17 +297,21 @@ def cmd_thermo(cfg: RunConfig):
     return columns, rows, {key: count for key, count in counts.items() if count}
 
 
-# name: (handler, help).
+# name: (handler, whether it reads the lambda grid, help).  Only a command that
+# reads the grid checks --lambda-min, --lambda-max and --steps.
 _COMMANDS = {
-    "correlators": (cmd_correlators,
+    "correlators": (cmd_correlators, True,
                     "magnetization and neighbour correlators on an (N, lambda) grid"),
-    "rfs": (cmd_rfs, "closed-form susceptibility with per-block contributions"),
-    "sweep": (cmd_sweep, "susceptibility over the (N, lambda) grid, optionally oracle-verified"),
-    "peak": (cmd_peak, "peak location lambda_m and height chi_m per size"),
-    "scaling": (cmd_scaling, "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)"),
-    "collapse": (cmd_collapse,
+    "rfs": (cmd_rfs, True, "closed-form susceptibility with per-block contributions"),
+    "sweep": (cmd_sweep, True,
+              "susceptibility over the (N, lambda) grid, optionally oracle-verified"),
+    "peak": (cmd_peak, False, "peak location lambda_m and height chi_m per size"),
+    "scaling": (cmd_scaling, False,
+                "peaks plus the sqrt(chi_m) vs ln N fit (needs >= 5 sizes)"),
+    "collapse": (cmd_collapse, False,
                  "scaled collapse curves and their quality metric (needs >= 3 sizes)"),
-    "thermo": (cmd_thermo, "thermodynamic-limit correlators and susceptibility per lambda"),
+    "thermo": (cmd_thermo, True,
+               "thermodynamic-limit correlators and susceptibility per lambda"),
 }
 
 

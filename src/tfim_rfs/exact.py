@@ -21,11 +21,13 @@ Two evaluation regimes are provided:
 
 Finite sums run over the N/2 positive momenta (every summand is even in
 phi) in the half-angle variable s = sin^2(phi/2), which avoids the
-cancellation in omega and its numerators as phi -> 0 near lam = 1, and are
-accumulated pairwise (np.add.reduce, the loop behind np.sum, called directly
-to skip np.sum's Python wrapper).  The sums run in place, in three work arrays
-of N/2 doubles allocated once per call, and round every element as the plain
-expressions would (see ``_mode_terms``).  Against a 40-digit reference, chi
+cancellation in omega and its numerators as phi -> 0 near lam = 1.  They run
+in cache-sized blocks of modes, in place, in three work arrays per thread, and
+round every element as the plain expressions would (see ``_block_sums``).
+Each block is reduced by np.add.reduce, the pairwise loop behind np.sum, and
+the block sums are added along the tree that loop builds over the whole
+table, so every sum is bitwise np.add.reduce of the whole summand array (see
+``_pairwise_sums``).  Against a 40-digit reference, chi
 at lam = 1 is within about 1e-15 relative up to N = 32768.  For N <= 10 the
 tests also check every correlator and derivative against exact
 diagonalization of the spin Hamiltonian, which shares no step with the
@@ -35,6 +37,7 @@ free-fermion solution.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
@@ -140,103 +143,149 @@ def _momentum_grid(n_sites: int) -> np.ndarray:
     return 2.0 * pi * q / n
 
 
+# Most modes evaluated at once; at least 128, the longest run np.add.reduce
+# sums without splitting.  The three work arrays of a block and its slice of
+# the table take 1 MiB, half a 2 MiB L2.  Blocks of 2^13..2^16 modes were
+# timed at N = 2^16..2^20, and 2^15 was fastest.
+_BLOCK = 32768
+
+# Each thread's three work arrays of _BLOCK doubles, reused by its every call.
+# Allocated per call, they were trimmed and refaulted by glibc malloc, up to
+# 96 minor page faults a call at N = 2^18.
+_WORK = threading.local()
+
+
 @lru_cache(maxsize=64)
 def _half_angle_table(n_sites: int) -> np.ndarray:
     """Cached, read-only s = sin^2(phi/2) on the N/2 positive momenta."""
-    # Built through the N-point grid on purpose: freeing its N-double temporaries
-    # raises glibc malloc's dynamic mmap threshold, so every later call's three
-    # N/2-double work arrays reuse heap memory.  The direct sin(pi (q + 1/2) / N)^2
-    # has the same bits but faults ~700 times a call at N = 2^18 (see the tests).
-    s = np.sin(0.5 * _momentum_grid(n_sites)[n_sites // 2:]) ** 2
+    # phi/2 = pi q / N for q = 1/2, 3/2, ...: the bits of half the upper half of
+    # _momentum_grid, whose factors 2 and 1/2 are exact.
+    q = np.arange(n_sites // 2) + 0.5
+    s = np.sin(pi * q / n_sites) ** 2
     s.setflags(write=False)
     return s
 
 
-def _mode_terms(spec: ChainSpec):
-    """Per-mode arrays shared by the finite sums: s, 1 - lam, 1/omega and two work arrays.
+def _block_sums(s, lam, work, curvature):
+    """Unnormalized momentum sums over one block ``s`` of the half-angle table.
 
-    The finite sums run in place: each summand is evaluated with numpy
-    ``out=`` and in-place ufuncs into the three arrays allocated here (1/omega
-    and the two work arrays), and is then reduced by np.add.reduce, the
-    pairwise loop behind np.sum.  The operations are those of the summand's
-    plain expression, in the same order (up to swapping the operands of + and
-    *, which is exact), so every element is rounded as the expression would
-    round it.  The arrays belong to the call: nothing is kept between calls
-    but the read-only table of s.
-
-    Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
-    about 1.34e154, where omega would be infinite and every correlator 0).
+    Returns the sums of the sz, xx/2, yy/2, d_xx and d_yy summands, then, with
+    ``curvature``, of the d2_xx and d2_yy summands.  Each summand is evaluated
+    into the three arrays of ``work`` with numpy ``out=`` and in-place ufuncs and
+    reduced by np.add.reduce.  Every element is rounded as the summand's plain
+    expression rounds it: the operations are the expression's, in its order,
+    except for factors of 2 moved where scaling is exact.  2 s - gap and
+    1 - 2 s round to 2 (s - gap/2) and 2 (1/2 - s), and (2 lam)(2 u) and
+    (4 lam) u are the same product rounded once.  xx and yy also drop the 2
+    before their last product, which is never subnormal (a nonzero s - gap/2
+    or s t - gap/2 is above about 1e-50 for any N that fits in memory, and
+    1/omega above 1e-155), so the caller doubles their sums.  The 4 of
+    sin^2 phi = 4 s (1 - s) stays first: s (1 - s) / omega^3 can be subnormal
+    (N = 12, lam = 1e102).
     """
-    n, lam = spec.n_sites, spec.lam
-    s = _half_angle_table(n)
+    inv, buf, sin_sq_inv3 = (row[:len(s)] for row in work)
     gap = 1.0 - lam
-    gap_sq = gap * gap
-    if math.isinf(gap_sq):
-        raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
+    half_gap = 0.5 * gap
     # omega > 0: every table entry s >= sin^2(pi/2N), and |1 - lam| > 0 off lam = 1.
     # 1/omega: 1 / sqrt(gap^2 + (4 lam) s).
-    inv = np.multiply(s, 4.0 * lam)
-    inv += gap_sq
+    np.multiply(s, 4.0 * lam, out=inv)
+    inv += gap * gap
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    return s, gap, inv, np.empty_like(s), np.empty_like(s)
 
-
-def _sum_correlators(spec: ChainSpec, terms) -> CorrelatorSet:
-    """The momentum sums of ``correlators_finite`` over the ``_mode_terms`` arrays.
-
-    Leaves sin^2(phi)/omega^3 in the first work array for ``_finite_curvature``.
-    """
-    s, gap, inv, sin_sq_inv3, buf = terms
-    lam = spec.lam
-    half = len(s)
-    # Each block evaluates the expression in its comment, one operation at a
-    # time, in the order its parentheses and left-to-right reading give.
-
-    # yy: ((2 s) (1 - (4 lam) (1 - s)) - gap) inv.  First, because it needs
-    # both work arrays.
-    two_s = np.multiply(s, 2.0, out=sin_sq_inv3)
+    # sin^2(phi)/omega^3: ((((4 s) (1 - s)) inv) inv) inv; 1 - s stays in buf.
     np.subtract(1.0, s, out=buf)
-    buf *= 4.0 * lam
-    np.subtract(1.0, buf, out=buf)
-    buf *= two_s
-    buf -= gap
-    buf *= inv
-    yy = float(np.add.reduce(buf)) / half
-
-    # sin^2(phi)/omega^3: ((((4 s) (1 - s)) inv) inv) inv.
     np.multiply(s, 4.0, out=sin_sq_inv3)
-    np.subtract(1.0, s, out=buf)
     sin_sq_inv3 *= buf
     sin_sq_inv3 *= inv
     sin_sq_inv3 *= inv
     sin_sq_inv3 *= inv
-    d_xx = float(np.add.reduce(sin_sq_inv3)) / half
+    d_xx = np.add.reduce(sin_sq_inv3)
+
+    # yy / 2: (s (1 - (4 lam) (1 - s)) - gap/2) inv.
+    buf *= 4.0 * lam
+    np.subtract(1.0, buf, out=buf)
+    buf *= s
+    buf -= half_gap
+    buf *= inv
+    yy = np.add.reduce(buf)
+
+    # xx / 2: (s - gap/2) inv.
+    np.subtract(s, half_gap, out=buf)
+    buf *= inv
+    xx = np.add.reduce(buf)
 
     # sz: (gap + (2 lam) s) inv.
     np.multiply(s, 2.0 * lam, out=buf)
     buf += gap
     buf *= inv
-    sz = float(np.add.reduce(buf)) / half
+    sz = np.add.reduce(buf)
 
-    # xx: (2 s - gap) inv.
-    np.multiply(s, 2.0, out=buf)
-    buf -= gap
-    buf *= inv
-    xx = float(np.add.reduce(buf)) / half
+    if curvature:
+        # d2 xx: (((-6 (s - gap/2)) sin^2(phi)/omega^3) inv) inv, kept in buf.
+        np.subtract(s, half_gap, out=buf)
+        buf *= -6.0
+        buf *= sin_sq_inv3
+        buf *= inv
+        buf *= inv
+        d2_xx = np.add.reduce(buf)
+    # d yy: ((4 lam) (1/2 - s) - 1) sin^2(phi)/omega^3.  1/omega is spent, so
+    # its array takes the first factor, which d2 yy shares.
+    np.subtract(0.5, s, out=inv)
+    inv *= 4.0 * lam
+    inv -= 1.0
+    if curvature:
+        buf *= inv
+    inv *= sin_sq_inv3
+    d_yy = np.add.reduce(inv)
+    if not curvature:
+        return sz, xx, yy, d_xx, d_yy
 
-    # d yy: ((2 lam) (1 - 2 s) - 1) sin^2(phi)/omega^3.
-    np.multiply(s, 2.0, out=buf)
-    np.subtract(1.0, buf, out=buf)
-    buf *= 2.0 * lam
-    buf -= 1.0
-    buf *= sin_sq_inv3
-    d_yy = float(np.add.reduce(buf)) / half
-    d_sz = -lam * d_xx
+    # d2 yy: (4 (1/2 - s)) sin^2(phi)/omega^3 + ((4 lam) (1/2 - s) - 1) d2xx,
+    # the second term in buf.
+    np.subtract(0.5, s, out=inv)
+    inv *= 4.0
+    inv *= sin_sq_inv3
+    inv += buf
+    return sz, xx, yy, d_xx, d_yy, d2_xx, np.add.reduce(inv)
 
-    zz = sz * sz - xx * yy
-    d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)
+
+def _pairwise_sums(s, lam, work, curvature):
+    """``_block_sums`` of all of ``s``, added as np.add.reduce would add them.
+
+    np.add.reduce sums an array pairwise: one of more than 128 elements
+    splits at half its length rounded down to a multiple of 8, and the sums
+    of the two parts are added.  This splits ``s`` the same way until a part
+    fits in a block, so each sum is bitwise np.add.reduce over the whole
+    array of its summands.
+    """
+    n = len(s)
+    if n <= _BLOCK:
+        return _block_sums(s, lam, work, curvature)
+    mid = n // 2 - n // 2 % 8
+    left = _pairwise_sums(s[:mid], lam, work, curvature)
+    right = _pairwise_sums(s[mid:], lam, work, curvature)
+    return [a + b for a, b in zip(left, right)]
+
+
+def _finite_sums(spec: ChainSpec, curvature: bool):
+    """The means of ``_block_sums`` over all N/2 modes, xx and yy doubled.
+
+    Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
+    about 1.34e154, where omega would be infinite and every correlator 0).
+    """
+    n, lam = spec.n_sites, spec.lam
+    if math.isinf((1.0 - lam) * (1.0 - lam)):
+        raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
+    s = _half_angle_table(n)
+    work = getattr(_WORK, "rows", None)
+    if work is None:
+        work = _WORK.rows = tuple(np.empty((3, _BLOCK)))
+    half = len(s)
+    sums = [float(total) / half for total in _pairwise_sums(s, lam, work, curvature)]
+    sums[1] *= 2.0  # xx
+    sums[2] *= 2.0  # yy
+    return sums
 
 
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
@@ -256,45 +305,29 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
     the sums are pairwise means over the N/2 positive momenta.  Raises
     ValueError for lam above about 1.34e154, where (1 - lam)^2 overflows.
     """
-    return _sum_correlators(spec, _mode_terms(spec))
+    return _correlator_set(spec.lam, *_finite_sums(spec, curvature=False))
+
+
+def _correlator_set(lam, sz, xx, yy, d_xx, d_yy) -> CorrelatorSet:
+    """The record of the five finite sums, with d_sz = -lam d_xx, zz and d_zz."""
+    d_sz = -lam * d_xx
+    zz = sz * sz - xx * yy
+    d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
+    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)
 
 
 def _finite_curvature(spec: ChainSpec):
     """``correlators_finite(spec)`` and the second lam-derivatives
-    (d2_sz, d2_xx, d2_yy, d2_zz), from one evaluation of the mode terms.
+    (d2_sz, d2_xx, d2_yy, d2_zz), from one pass over the modes.
 
     Differentiating the first-derivative summands once more gives
         d2 xx = -3 sin^2 phi (2s - (1 - lam)) / omega^5
         d2 yy = 2 (1 - 2s) sin^2 phi / omega^3 + (2 lam (1 - 2s) - 1) d2 xx,
     with d2 sz = -d xx - lam d2 xx and d2 zz from the product rule.
     """
-    terms = _mode_terms(spec)
-    c = _sum_correlators(spec, terms)
-    s, gap, inv, sin_sq_inv3, buf = terms
+    *first, d2_xx, d2_yy = _finite_sums(spec, curvature=True)
     lam = spec.lam
-    half = len(s)
-    # d2 xx: (((-3 (2 s - gap)) sin^2(phi)/omega^3) inv) inv, kept in buf for d2 yy.
-    np.multiply(s, 2.0, out=buf)
-    buf -= gap
-    buf *= -3.0
-    buf *= sin_sq_inv3
-    buf *= inv
-    buf *= inv
-    d2_xx = float(np.add.reduce(buf)) / half
-    # d2 yy: (2 cos phi) sin^2(phi)/omega^3 + ((2 lam) cos phi - 1) d2xx, with
-    # cos phi = 1 - 2 s.  1/omega is spent, so its array takes the second term.
-    lam_part = inv
-    np.multiply(s, 2.0, out=lam_part)
-    np.subtract(1.0, lam_part, out=lam_part)
-    lam_part *= 2.0 * lam
-    lam_part -= 1.0
-    lam_part *= buf
-    np.multiply(s, 2.0, out=buf)
-    np.subtract(1.0, buf, out=buf)
-    buf *= 2.0
-    buf *= sin_sq_inv3
-    buf += lam_part
-    d2_yy = float(np.add.reduce(buf)) / half
+    c = _correlator_set(lam, *first)
     d2_sz = -c.d_xx - lam * d2_xx
     d2_zz = (2.0 * (c.d_sz * c.d_sz + c.sz * d2_sz)
              - d2_xx * c.yy - 2.0 * c.d_xx * c.d_yy - c.xx * d2_yy)

@@ -241,6 +241,44 @@ def test_package_reexports_each_module_name():
             assert getattr(tfim_rfs, name) is getattr(module, name)
 
 
+@pytest.mark.parametrize("flags", [["--lambda-min", "2", "--lambda-max", "1"], ["--steps", "0"]])
+def test_commands_without_grid_ignore_grid_flags(flags, capsys):
+    # peak, scaling and collapse never read the lambda grid, so its bounds are not checked.
+    code, plain, err = run_cli(["peak", "--sizes", "64"], capsys)
+    assert code == 0, err
+    code, out, err = run_cli(["peak", "--sizes", "64"] + flags, capsys)
+    assert code == 0 and err == ""
+    assert out == plain
+
+
+@pytest.mark.parametrize("command", ["correlators", "rfs", "sweep", "thermo"])
+@pytest.mark.parametrize("flags,message", [
+    (["--lambda-min", "1.2", "--lambda-max", "0.8"], "lambda range must satisfy min < max"),
+    (["--steps", "0"], "steps must be >= 1"),
+])
+def test_grid_commands_check_grid_flags(command, flags, message, capsys):
+    code, out, err = run_cli([command, "--sizes", "12"] + flags, capsys)
+    assert code == 2 and out == "" and message in err
+
+
+def _run_separately(args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "tfim_rfs.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return proc.stdout
+
+
+def test_repeated_main_calls_match_separate_runs(capsys):
+    # The parser is built once per process; nothing of one call's flags may
+    # reach the next, here --verify and --format json.
+    first = ["sweep", "--sizes", "12", "--steps", "2", "--verify", "--format", "json"]
+    second = ["sweep", "--sizes", "12", "--steps", "2"]
+    outputs = [run_cli(args, capsys)[1] for args in (first, second)]
+    assert build_parser() is build_parser()
+    assert outputs == [_run_separately(args) for args in (first, second)]
+    assert outputs[1].startswith("n_sites,lambda,chi\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nu_must_be_finite(value):
     # A separate process, so that warnings printed before the error reach stderr.

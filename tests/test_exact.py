@@ -1,11 +1,12 @@
+import gc
 import json
 import math
 import os
-import platform
 import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -264,6 +265,12 @@ class TestFiniteCorrelators:
             fd = fd6(lambda x: getattr(correlators_finite(ChainSpec(n, x)), value), lam)
             assert abs(fd - getattr(c, deriv)) <= 1e-7
 
+    @pytest.mark.parametrize("n", [4, 30, 1000, 393222])
+    def test_half_angle_table_is_the_grid_upper_half(self, n):
+        s = tfim_rfs.exact._half_angle_table(n)
+        expected = np.sin(0.5 * _momentum_grid(n)[n // 2:]) ** 2
+        assert s.tobytes() == expected.tobytes()
+
     def test_dispersion_positive_on_grid(self):
         # Why the finite sums need no omega > 0 check: the smallest table entry
         # is sin^2(pi/2N) > 0, so omega >= 2 sqrt(s) > 0 at lam = 1, and
@@ -325,14 +332,36 @@ def _plain_sums(n, lam):
     return [float(np.sum(t)) / len(s) for t in summands]
 
 
+# Couplings at which every in-place summand must round as its plain
+# expression does.  5e-324 and 1e-310 are subnormal; at 1e102 the product
+# s (1 - s) / omega^3 is subnormal at N = 12, so the 4 of sin^2 phi = 4 s (1 - s)
+# cannot be moved out of it.
+PLAIN_LAMS = (0.0, 5e-324, 1e-310, 1e-300, 1e-9, 0.005, 0.7, 1.0 - 2.0 ** -52, 1.0,
+              1.0 + 2.0 ** -52, 1.0003, 3.0, 1e8, 1e102, 1e150)
+
+
+def _assert_plain(n):
+    for lam in PLAIN_LAMS:
+        c, (_, d2_xx, d2_yy, _) = _finite_curvature(ChainSpec(n, lam))
+        got = [c.sz, c.xx, c.yy, c.d_xx, c.d_yy, d2_xx, d2_yy]
+        assert [x.hex() for x in got] == [x.hex() for x in _plain_sums(n, lam)], (n, lam)
+
+
 class TestFiniteSumsInPlace:
-    @pytest.mark.parametrize("n", [4, 6, 12, 64, 1000, 4096, 2 ** 16])
+    # Up to 2^16 one block holds every mode; 65538 is the first size that is
+    # split, and the sizes above it split into several blocks of uneven length.
+    @pytest.mark.parametrize("n", [4, 6, 12, 64, 1000, 4096, 2 ** 16, 65538, 100006,
+                                   2 ** 18, 393222])
     def test_equal_to_plain_expressions(self, n):
-        for lam in (0.0, 1e-300, 1e-9, 0.005, 0.7, 1.0 - 2.0 ** -52, 1.0,
-                    1.0 + 2.0 ** -52, 1.0003, 3.0, 1e8, 1e150):
-            c, (_, d2_xx, d2_yy, _) = _finite_curvature(ChainSpec(n, lam))
-            got = [c.sz, c.xx, c.yy, c.d_xx, c.d_yy, d2_xx, d2_yy]
-            assert [x.hex() for x in got] == [x.hex() for x in _plain_sums(n, lam)], lam
+        _assert_plain(n)
+
+    @pytest.mark.parametrize("block", [128, 1000])
+    @pytest.mark.parametrize("n", [258, 1000, 4098, 32770])
+    def test_block_tree_matches_pairwise_sum(self, n, block, monkeypatch):
+        # Blocks down to numpy's pairwise leaf of 128 modes, of odd and even
+        # lengths, still add up to np.sum over the whole array, bit for bit.
+        monkeypatch.setattr(tfim_rfs.exact, "_BLOCK", block)
+        _assert_plain(n)
 
     @pytest.mark.parametrize("n", sorted(FINITE_PINS))
     def test_pinned_bits(self, n):
@@ -344,7 +373,7 @@ class TestFiniteSumsInPlace:
             assert bits + [d.hex() for d in second] == row.split(), f"N={n}, lam={lam!r}"
 
     def test_interleaved_calls_do_not_alias(self):
-        # The work arrays are private to a call, and the shared table stays read-only.
+        # The work arrays hold nothing between calls, and the shared table stays read-only.
         a, b = ChainSpec(2 ** 16, 0.9996), ChainSpec(2 ** 16, 1.5)
         first = _finite_curvature(a)
         assert _finite_curvature(b) != first
@@ -353,20 +382,57 @@ class TestFiniteSumsInPlace:
         assert correlators_finite(a) == first[0]
         assert not tfim_rfs.exact._half_angle_table(2 ** 16).flags.writeable
 
+    def test_threads_keep_their_own_work_arrays(self):
+        # More threads than cores, switching often: work arrays shared between
+        # threads would mix one call's summands into another's sums.
+        specs = [ChainSpec(2 ** 17, lam) for lam in (0.9996, 1.0, 1.5, 3.0)]
+        expected = [_finite_curvature(spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_finite_curvature, spec) for spec in specs * 5]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 5
+
+    @pytest.mark.parametrize("fn", [correlators_finite, _finite_curvature])
+    def test_calls_leave_no_garbage(self, fn):
+        # A reference cycle per call (a recursive closure, say) leaves work to
+        # the cyclic collector: one such cycle cost peak_scaling a 1.5 ms
+        # collection, 3 % of its time.
+        specs = [ChainSpec(512, 0.99), ChainSpec(2 ** 18, 0.9996)]
+        for spec in specs:
+            fn(spec)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for spec in specs * 3:
+                fn(spec)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []
+
     @pytest.mark.parametrize("fn", [correlators_finite, _finite_curvature])
     def test_allocation_peak(self, fn):
-        # Three work arrays of N/2 doubles per call; each temporary of the
-        # summands would add one more.
+        # A call in a new thread allocates that thread's three work arrays of
+        # _BLOCK doubles; any temporary of N/2 doubles would be 4 such arrays.
         n = 2 ** 18
         spec = ChainSpec(n, 0.9996)
         fn(spec)  # the momentum table is built on first use, outside the bound
         tracemalloc.start()
         try:
-            fn(spec)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(fn, spec).result()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        array = n // 2 * 8
+        array = tfim_rfs.exact._BLOCK * 8
         bound = 3 * array + 64 * 1024
         assert peak <= bound, (f"{fn.__name__} peaked at {peak} bytes = "
                                f"{peak / array:.3f} arrays of {array} bytes; bound {bound}")
@@ -390,13 +456,12 @@ print(json.dumps(rises))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="pins glibc malloc's reuse of freed heap memory")
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults with getrusage")
 def test_finite_sums_take_no_page_faults():
-    # The work arrays reuse freed heap memory only because building the
-    # momentum table freed arrays of N doubles first (see _half_angle_table).
-    # A table built directly from N/2 angles took about 14 700 and 9 600
-    # faults here, and made a verify sweep at N = 2^16..2^18 40 % slower.
+    # The block-sized work arrays are allocated once per thread and then
+    # reused, so a warm call touches no new page.  Allocated per call, they
+    # were trimmed and refaulted by glibc malloc: about 3 840 faults per 20
+    # calls here, depending on what the heap held before.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
