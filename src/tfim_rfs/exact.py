@@ -131,18 +131,6 @@ class CorrelatorSet:
                     and math.isfinite(self.d_yy) and math.isfinite(self.d_zz))
 
 
-def _momentum_grid(n_sites: int) -> np.ndarray:
-    """Mode angles phi_q = 2 pi q / N for half-odd q in {-M, ..., M}.
-
-    The N angles lie in (-pi, pi), are symmetric under negation, and never
-    hit 0 or +-pi (half-odd q excludes the gapless mode).
-    """
-    n = n_sites
-    m = (n - 1) / 2.0
-    q = np.arange(-m, m + 1.0)
-    return 2.0 * pi * q / n
-
-
 # Most modes evaluated at once; at least 128, the longest run np.add.reduce
 # sums without splitting.  The three work arrays of a block and its slice of
 # the table take 1 MiB, half a 2 MiB L2.  Blocks of 2^13..2^16 modes were
@@ -158,8 +146,8 @@ _WORK = threading.local()
 @lru_cache(maxsize=64)
 def _half_angle_table(n_sites: int) -> np.ndarray:
     """Cached, read-only s = sin^2(phi/2) on the N/2 positive momenta."""
-    # phi/2 = pi q / N for q = 1/2, 3/2, ...: the bits of half the upper half of
-    # _momentum_grid, whose factors 2 and 1/2 are exact.
+    # phi/2 = pi q / N on the positive momenta, q = 1/2, 3/2, ..., (N-1)/2; the
+    # half-odd q exclude the gapless mode, so every s is positive.
     q = np.arange(n_sites // 2) + 0.5
     s = np.sin(pi * q / n_sites) ** 2
     s.setflags(write=False)

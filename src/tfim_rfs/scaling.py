@@ -14,13 +14,16 @@ chi(lam) ~ A (ln 1/|1-lam| + d1)^2 + d2, and equality of the two amplitudes
 fixes the scaling exponent nu = 1: curves of sqrt(chi_m) - sqrt(chi(lam))
 plotted against N^nu (lam - lam_m) collapse onto one size-independent
 function.  Their spread is measured on a monotone piecewise-cubic
-interpolant written here in numpy, so the package needs numpy alone.
+interpolant written here in numpy, so the package needs numpy alone; it is
+invariant under x -> c x, so the exponent search builds each size's cubic
+once, at nu = 1, and evaluates it at x / N^(nu-1) for each trial exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -329,19 +332,20 @@ class CollapseCurve:
     samples: dict
     nu: float
 
-    def by_size(self) -> dict:
-        """Per-size (x, y) arrays, sizes and x ascending.
-
-        Raises ValueError when N^(nu-1) overflows a double.
-        """
-        scaled = {}
-        for n, (w, y) in sorted(self.samples.items()):
+    def _factors(self) -> dict:
+        """Per-size N^(nu-1), sizes ascending; ValueError if one overflows."""
+        factors = {}
+        for n in sorted(self.samples):
             try:
-                factor = float(n) ** (self.nu - 1.0)
+                factors[n] = float(n) ** (self.nu - 1.0)
             except OverflowError:
                 raise ValueError(f"N^(nu-1) overflows for N={n}, nu={self.nu!r}") from None
-            scaled[n] = (w * factor, y)
-        return scaled
+        return factors
+
+    def by_size(self) -> dict:
+        """Per-size (x, y) arrays, sizes and x ascending; see ``_factors``."""
+        return {n: (self.samples[n][0] * factor, self.samples[n][1])
+                for n, factor in self._factors().items()}
 
 
 def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
@@ -366,8 +370,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     return CollapseCurve(samples=samples, nu=float(nu))
 
 
-def _pchip(xs, ys, grid):
-    """Values on ``grid`` of the monotone piecewise cubic through (xs, ys).
+def _pchip_build(xs, ys):
+    """The monotone piecewise cubic through (xs, ys), for ``_pchip_eval``.
 
     The Fritsch-Carlson interpolant (SIAM J. Numer. Anal. 17 (1980) 238): a
     cubic Hermite spline whose interior slopes are the weighted harmonic mean
@@ -407,10 +411,44 @@ def _pchip(xs, ys, grid):
         d = np.concatenate(([end[0]], inner, [end[1]]))
     t = (d[:-1] + d[1:] - 2.0 * m) / h
     c0, c1 = t / h, (m - d[:-1]) / h - t
+    return xs, ys, d, c1, c0
+
+
+def _pchip_eval(cubic, grid):
+    """Values on ``grid`` of a cubic from ``_pchip_build``."""
+    xs, ys, d, c1, c0 = cubic
     i = np.clip(np.searchsorted(xs, grid, "right") - 1, 0, xs.size - 2)
     s = grid - xs[i]
     s2 = s * s
     return (ys[i] + d[i] * s) + c1[i] * s2 + c0[i] * (s2 * s)
+
+
+def _collapse_spread(branches, scales, nu, cubics=None) -> float:
+    """Collapse quality of 2 or more curves (size -> (knots, y), sizes
+    ascending) whose knots times scales[n] are the x of size n.  Each size's
+    cubic, from ``cubics`` or else built here, is evaluated at x / scales[n].
+    """
+    lo = max(xs[0] * scales[n] for n, (xs, _) in branches.items())
+    hi = min(xs[-1] * scales[n] for n, (xs, _) in branches.items())
+    if lo >= hi:
+        raise ValueError(f"empty overlap window: [{lo}, {hi}]")
+    grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cubics = cubics or {n: _pchip_build(xs, ys) for n, (xs, ys) in branches.items()}
+        interpolated = np.array([_pchip_eval(cubics[n], grid / scales[n]) for n in branches])
+    if not np.all(np.isfinite(interpolated)):
+        raise ValueError(f"collapse curves are not finite for N={list(branches)}, "
+                         f"nu={nu!r}: the rescaled x reaches {hi:.3g}")
+    spread = np.zeros_like(grid)
+    pairs = list(combinations(interpolated, 2))
+    for a, b in pairs:
+        spread += np.abs(a - b)
+    mean_spread = float(np.mean(spread / len(pairs)))
+    mean_curve = interpolated.mean(axis=0)
+    swing = float(mean_curve.max() - mean_curve.min())
+    if swing == 0.0:
+        return 0.0 if mean_spread == 0.0 else math.inf
+    return mean_spread / swing
 
 
 def collapse_quality(curve: CollapseCurve) -> float:
@@ -428,41 +466,22 @@ def collapse_quality(curve: CollapseCurve) -> float:
     if len(branches) < 2:
         raise ValueError(f"the collapse quality needs at least 2 distinct sizes, "
                          f"got {list(branches)}")
-    lo = max(xs[0] for xs, _ in branches.values())
-    hi = min(xs[-1] for xs, _ in branches.values())
-    if lo >= hi:
-        raise ValueError(f"empty overlap window: [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        interpolated = np.array([_pchip(xs, ys, grid) for xs, ys in branches.values()])
-    if not np.all(np.isfinite(interpolated)):
-        raise ValueError(f"collapse curves are not finite for N={list(branches)}, "
-                         f"nu={curve.nu!r}: the rescaled x reaches {hi:.3g}")
-    n = interpolated.shape[0]
-    spread = np.zeros_like(grid)
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            spread += np.abs(interpolated[i] - interpolated[j])
-            pairs += 1
-    mean_spread = float(np.mean(spread / pairs))
-    mean_curve = interpolated.mean(axis=0)
-    swing = float(mean_curve.max() - mean_curve.min())
-    if swing == 0.0:
-        return 0.0 if mean_spread == 0.0 else math.inf
-    return mean_spread / swing
+    return _collapse_spread(branches, dict.fromkeys(branches, 1.0), curve.nu)
 
 
 def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    The curves are sampled once; each trial exponent is the same sampling
-    with its ``nu`` replaced, so the chain is not resampled.  Golden-section
-    search stops at a bracket narrower than 1e-3.  Raises ValueError for
-    fewer than 2 distinct sizes: one curve collapses at every exponent.
+    The curves are sampled and each size's cubic built once, at nu = 1; the
+    cubic is invariant under x -> c x, so a trial evaluates it at
+    x / N^(nu-1), within about 1e-15 relative of ``collapse_quality``.
+    Golden-section search stops at a bracket narrower than 1e-3.  Raises
+    ValueError for fewer than 2 distinct sizes: one curve fits every nu.
     """
     if len(set(int(n) for n in sizes)) < 2:
         raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {list(sizes)}")
     sampled = data_collapse(sizes, peaks=peaks)
-    return _golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
-                               *_NU_BOUNDS, _NU_TOL)
+    unit = sampled.by_size()
+    cubics = {n: _pchip_build(w, y) for n, (w, y) in unit.items()}
+    return _golden_section_max(lambda nu: -_collapse_spread(
+        unit, replace(sampled, nu=nu)._factors(), nu, cubics), *_NU_BOUNDS, _NU_TOL)

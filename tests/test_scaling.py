@@ -28,9 +28,10 @@ from tfim_rfs import (
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.scaling import _brent_root, _pchip
+from tfim_rfs.scaling import _brent_root, _pchip_build, _pchip_eval
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
+SMALL_COLLAPSE_SIZES = (64, 128, 256)
 REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
                    / "reference.json")
 
@@ -38,6 +39,10 @@ REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
 @pytest.fixture(scope="module")
 def collapse_peaks():
     return {n: find_peak(n) for n in COLLAPSE_SIZES}
+
+
+def _pchip(xs, ys, grid):
+    return _pchip_eval(_pchip_build(xs, ys), grid)
 
 
 class TestFindPeak:
@@ -440,6 +445,28 @@ class TestDataCollapse:
         nu = best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert 0.9 <= nu <= 1.1
         assert nu.hex() == "0x1.feee90e14103cp-1"
+        nu = best_collapse_exponent(SMALL_COLLAPSE_SIZES)
+        assert nu.hex() == "0x1.0a066516a9264p+0"
+
+    @pytest.mark.parametrize("sizes", [COLLAPSE_SIZES, SMALL_COLLAPSE_SIZES])
+    def test_search_trials_agree_with_collapse_quality(self, sizes, collapse_peaks, monkeypatch):
+        # The search evaluates the nu = 1 cubics at grid / N^(nu-1) instead of
+        # building new ones on the rescaled x; the interpolant is invariant
+        # under that rescaling, so the two differ by rounding alone.
+        peaks = {n: collapse_peaks[n] for n in sizes if n in collapse_peaks}
+        sampled = data_collapse(sizes, peaks=peaks)
+        trials = []
+
+        def recorded(fn, lo, hi, tol):
+            trials.extend((nu, -fn(nu)) for nu in np.linspace(lo, hi, 31).tolist())
+            return 1.0
+
+        monkeypatch.setattr(tfim_rfs.scaling, "_golden_section_max", recorded)
+        best_collapse_exponent(sizes, peaks=peaks)
+        assert len(trials) == 31
+        for nu, quality in trials:
+            expected = collapse_quality(replace(sampled, nu=nu))
+            assert abs(quality - expected) <= 2e-15 * expected, nu
 
     @pytest.mark.parametrize("sizes", [[64], [64, 64], []])
     def test_exponent_needs_two_sizes(self, sizes):
@@ -457,6 +484,19 @@ class TestDataCollapse:
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility", counted)
         best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert len(calls) == len(COLLAPSE_SIZES) * 41
+
+    @pytest.mark.parametrize("sizes", [COLLAPSE_SIZES, SMALL_COLLAPSE_SIZES])
+    def test_exponent_search_builds_each_cubic_once(self, sizes, collapse_peaks, monkeypatch):
+        builds = []
+
+        def counted(xs, ys):
+            builds.append(len(xs))
+            return _pchip_build(xs, ys)
+
+        monkeypatch.setattr(tfim_rfs.scaling, "_pchip_build", counted)
+        peaks = {n: collapse_peaks[n] for n in sizes if n in collapse_peaks}
+        best_collapse_exponent(sizes, peaks=peaks)
+        assert builds == [41] * len(sizes)
 
     @pytest.mark.parametrize("nu", [0.5, 0.75, 1.5, 2.0])
     def test_rescaled_unit_sampling_is_exact(self, nu, collapse_peaks):
