@@ -1,6 +1,7 @@
 """Reduced fidelity susceptibility of the two-site RDM.
 
-Two routes are cross-checked; the oracle reuses ``correlators_finite`` and
+Two routes are cross-checked; the oracle reuses ``correlators_finite`` (whose
+memo sums the point's own coupling once for all of its calls) and
 ``build_rdm``, so it checks the closed form's block and derivative algebra only:
 
 * ``rfs_closed_form`` -- the RDM has the 2x2 blocks [[u+, z-], [z-, u-]] and

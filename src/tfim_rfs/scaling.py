@@ -68,14 +68,14 @@ _NU_TOL = 1e-3
 
 
 class PeakSearchError(ValueError):
-    """No certified maximum of chi: its slope does not fall from positive to
-    negative across 1 +- 2/N, or the local-maximum certificate fails.  The
-    message names N."""
+    """No maximum of chi: its slope does not fall from positive to negative
+    across 1 +- 2/N.  The message names N."""
 
 
 @dataclass(frozen=True)
 class PeakRecord:
-    """A certified local maximum of chi(lam) at fixed chain size."""
+    """The local maximum of chi(lam) at fixed chain size: the one sign change
+    of its slope in 1 +- 2/N."""
 
     n_sites: int
     lambda_m: float
@@ -177,8 +177,7 @@ def find_peak(n_sites: int) -> PeakRecord:
     (``susceptibility_slope``, in closed form) on [1 - 2/N, 1 + 2/N]: the
     slope must be positive at the lower end and negative at the upper one, or
     PeakSearchError is raised.  Brent's method narrows that sign change down
-    to adjacent doubles, and chi_m = ``susceptibility(n_sites, lam_m)``.  The
-    record is re-certified as a local maximum against lam_m +- 1e-6.
+    to adjacent doubles, and chi_m = ``susceptibility(n_sites, lam_m)``.
     """
     ChainSpec(n_sites, 1.0)  # rejects a bad N before 2/N is formed
 
@@ -190,13 +189,7 @@ def find_peak(n_sites: int) -> PeakRecord:
     if not slope_lo > 0.0 > slope_hi:
         raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
     lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
-    chi_m = susceptibility(n_sites, lam_m)
-    for probe in (lam_m - 1e-6, lam_m + 1e-6):
-        if susceptibility(n_sites, probe) > chi_m:
-            raise PeakSearchError(
-                f"local-maximum certificate failed at N={n_sites}, lam={lam_m}"
-            )
-    return PeakRecord(n_sites=n_sites, lambda_m=lam_m, chi_m=chi_m)
+    return PeakRecord(n_sites=n_sites, lambda_m=lam_m, chi_m=susceptibility(n_sites, lam_m))
 
 
 def _r_squared(y, residuals) -> float:

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import tfim_rfs.cli
+import tfim_rfs.exact
+import tfim_rfs.rfs
 from tfim_rfs.cli import _OPTIONS, build_parser, load_config_file, main, resolve_config
 
 
@@ -79,6 +82,33 @@ def test_verify_adds_oracle_columns(capsys):
     for row in rows:
         assert float(row["discrepancy"]) <= 1e-3
         assert float(row["chi_oracle"]) == pytest.approx(float(row["chi"]), rel=1e-3)
+
+
+def test_verified_row_sums_each_coupling_once(capsys, monkeypatch):
+    # Each verified row asks for correlators_finite 10 times at 5 couplings:
+    # its own (6 times: the row, the 4 oracle steps and the oracle's closed
+    # form) and lam +- delta, lam +- delta/2.  The memo sums each one once.
+    calls, sums = [], []
+    correlators_finite, finite_sums = tfim_rfs.exact.correlators_finite, tfim_rfs.exact._finite_sums
+
+    def counted_correlators(spec):
+        calls.append(spec)
+        return correlators_finite(spec)
+
+    def counted_sums(spec, curvature):
+        sums.append(spec)
+        return finite_sums(spec, curvature)
+
+    for module in (tfim_rfs.cli, tfim_rfs.rfs):
+        monkeypatch.setattr(module, "correlators_finite", counted_correlators)
+    monkeypatch.setattr(tfim_rfs.exact, "_finite_sums", counted_sums)
+    tfim_rfs.exact._correlators_finite_cached.cache_clear()
+    code, out, _ = run_cli(
+        ["sweep", "--sizes", "1024", "--lambda-min", "0.9", "--lambda-max", "1.1",
+         "--steps", "3", "--verify"], capsys)
+    assert code == 0 and len(parse_csv(out)[0]) == 3
+    assert len(calls) == 30 and len(set(calls)) == 15
+    assert len(sums) == 15 and set(sums) == set(calls)
 
 
 def test_rfs_reports_block_contributions(capsys):

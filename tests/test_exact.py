@@ -238,6 +238,19 @@ class TestChainSpec:
         spec = ChainSpec(np.int64(8), np.float64(0.5))
         assert spec.n_sites == 8 and spec.lam == 0.5
 
+    def test_negative_zero_coupling_is_zero(self):
+        # ChainSpec(8, -0.0) equals ChainSpec(8, 0.0) and hashes alike, so the
+        # memo returns whichever record was asked for first; d_sz = -lam d_xx
+        # gives each sign of zero its own bits unless lam is normalized.
+        expected = [getattr(_finite_curvature(ChainSpec(8, 0.0))[0], name).hex()
+                    for name in FIELDS + DERIVS]
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            tfim_rfs.exact._correlators_finite_cached.cache_clear()
+            for lam in order:
+                c = correlators_finite(ChainSpec(8, lam))
+                assert [getattr(c, name).hex() for name in FIELDS + DERIVS] == expected, order
+        assert ChainSpec(8, -0.0).lam.hex() == "0x0.0p+0"
+
 
 class TestFiniteCorrelators:
     def test_zero_coupling_polarized(self):
@@ -273,11 +286,25 @@ class TestFiniteCorrelators:
             fd = fd6(lambda x: getattr(correlators_finite(ChainSpec(n, x)), value), lam)
             assert abs(fd - getattr(c, deriv)) <= 1e-7
 
-    @pytest.mark.parametrize("n", [4, 30, 1000, 393222])
+    @pytest.mark.parametrize("n", [4, 6, 12, 30, 64, 1000, 2 ** 16, 65538, 2 ** 18, 393222,
+                                   2 ** 20])
     def test_half_angle_table_is_the_grid_upper_half(self, n):
         s = tfim_rfs.exact._half_angle_table(n)
         expected = np.sin(0.5 * momentum_grid(n)[n // 2:]) ** 2
         assert s.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_half_angle_table_allocates_one_array(self, n):
+        # Built in place: one array of N/2 doubles, where the plain
+        # expression allocated three.
+        tracemalloc.start()
+        try:
+            tfim_rfs.exact._half_angle_table.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = n // 2 * 8
+        assert peak <= array + 64 * 1024, f"peaked at {peak / array:.3f} arrays of {array} bytes"
 
     def test_dispersion_positive_on_grid(self):
         # Why the finite sums need no omega > 0 check: the smallest table entry
@@ -355,6 +382,15 @@ def _assert_plain(n):
         assert [x.hex() for x in got] == [x.hex() for x in _plain_sums(n, lam)], (n, lam)
 
 
+def _summing(fn):
+    """``fn`` with the memo of correlators_finite cleared before each call, so
+    that the kernel probes measure the momentum sums, not the memo."""
+    def call(spec):
+        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        return fn(spec)
+    return call
+
+
 class TestFiniteSumsInPlace:
     # Up to 2^16 one block holds every mode; 65538 is the first size that is
     # split, and the sizes above it split into several blocks of uneven length.
@@ -383,11 +419,12 @@ class TestFiniteSumsInPlace:
     def test_interleaved_calls_do_not_alias(self):
         # The work arrays hold nothing between calls, and the shared table stays read-only.
         a, b = ChainSpec(2 ** 16, 0.9996), ChainSpec(2 ** 16, 1.5)
+        summed = _summing(correlators_finite)
         first = _finite_curvature(a)
         assert _finite_curvature(b) != first
-        assert correlators_finite(b) != first[0]
+        assert summed(b) != first[0]
         assert _finite_curvature(a) == first
-        assert correlators_finite(a) == first[0]
+        assert summed(a) == first[0]
         assert not tfim_rfs.exact._half_angle_table(2 ** 16).flags.writeable
 
     def test_threads_keep_their_own_work_arrays(self):
@@ -411,6 +448,7 @@ class TestFiniteSumsInPlace:
         # the cyclic collector: one such cycle cost peak_scaling a 1.5 ms
         # collection, 3 % of its time.
         specs = [ChainSpec(512, 0.99), ChainSpec(2 ** 18, 0.9996)]
+        fn = _summing(fn)
         for spec in specs:
             fn(spec)
         gc.collect()
@@ -432,6 +470,7 @@ class TestFiniteSumsInPlace:
         # _BLOCK doubles; any temporary of N/2 doubles would be 4 such arrays.
         n = 2 ** 18
         spec = ChainSpec(n, 0.9996)
+        fn = _summing(fn)
         fn(spec)  # the momentum table is built on first use, outside the bound
         tracemalloc.start()
         try:
@@ -447,13 +486,18 @@ class TestFiniteSumsInPlace:
 
 
 # Minor page faults of 20 calls each of correlators_finite and _finite_curvature
-# at N = 2^18, after 2 warm-up calls, in a fresh interpreter.
+# at N = 2^18, after 2 warm-up calls, in a fresh interpreter.  The memo of
+# correlators_finite is cleared before each of its calls, so each one sums.
 _FAULT_PROBE = """
 import json, resource
-from tfim_rfs.exact import ChainSpec, _finite_curvature, correlators_finite
+from tfim_rfs.exact import (ChainSpec, _correlators_finite_cached, _finite_curvature,
+                            correlators_finite)
+def summed(spec):
+    _correlators_finite_cached.cache_clear()
+    return correlators_finite(spec)
 spec = ChainSpec(2 ** 18, 0.9996)
 rises = []
-for fn in (correlators_finite, _finite_curvature):
+for fn in (summed, _finite_curvature):
     for _ in range(2):
         fn(spec)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -475,6 +519,42 @@ def test_finite_sums_take_no_page_faults():
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     rises = json.loads(proc.stdout)
     assert max(rises) <= 20, f"minor page faults per 20 calls: {rises}"
+
+
+def _bits(c):
+    return [getattr(c, name).hex() for name in FIELDS + DERIVS]
+
+
+class TestFiniteMemo:
+    @pytest.mark.parametrize("n", [12, 2 ** 16])
+    def test_hit_is_the_first_record(self, n):
+        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        for lam in PLAIN_LAMS:
+            first = correlators_finite(ChainSpec(n, lam))
+            assert _bits(first) == _bits(_finite_curvature(ChainSpec(n, lam))[0]), lam
+            assert correlators_finite(ChainSpec(n, lam)) is first
+
+    def test_bounded(self):
+        for k in range(200):
+            correlators_finite(ChainSpec(12, 0.5 + k * 1e-3))
+        info = tfim_rfs.exact._correlators_finite_cached.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64
+
+    def test_threads_get_the_serial_records(self):
+        # More threads than cores, switching often, on a few shared specs, so
+        # that misses on one spec race each other.
+        specs = [ChainSpec(2 ** 16, lam) for lam in (0.9996, 1.0, 1.5, 3.0)]
+        expected = [_bits(_finite_curvature(spec)[0]) for spec in specs]
+        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(correlators_finite, spec) for spec in specs * 8]
+                got = [_bits(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 8
 
 
 @lru_cache(maxsize=None)

@@ -52,10 +52,11 @@ class TestFindPeak:
         assert 0.0 < small.lambda_m < 1.0
         assert abs(large.lambda_m - 1.0) < abs(small.lambda_m - 1.0)
 
-    def test_local_maximum_certificate(self):
-        rec = find_peak(256)
+    @pytest.mark.parametrize("n", [256, 4096, 2 ** 16])
+    def test_local_maximum_certificate(self, n):
+        rec = find_peak(n)
         for probe in (rec.lambda_m - 1e-6, rec.lambda_m + 1e-6):
-            assert susceptibility(256, probe) <= rec.chi_m
+            assert susceptibility(n, probe) <= rec.chi_m
 
     def test_unimodal_scan(self):
         lams = np.linspace(0.8, 1.1, 41)
@@ -86,13 +87,17 @@ class TestFindPeak:
         with pytest.raises(ValueError, match="n_sites must be even and >= 4"):
             find_peak(n)
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 12, 30, 64, 256, 1024])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 30, 64, 256, 1024, 2 ** 12, 2 ** 16, 2 ** 20])
     def test_slope_changes_sign_once_inside_window(self, n):
         # The search window 1 +- 2/N rests on this: over two decades on each
         # side of lam = 1 the slope of chi falls through zero once, inside
-        # the window, and no block is singular.  The window ends are scanned
-        # too, so the change lies between two scanned points inside it.
-        lams = np.union1d(np.geomspace(0.01, 100.0, 400), [1.0 - 2.0 / n, 1.0 + 2.0 / n])
+        # the window, and no block is singular.  So find_peak's root is a
+        # local maximum, and it needs no certificate.  The window is scanned
+        # at 41 points, ends included, so the change lies between two scanned
+        # points inside it.  Above N = 1024, where a slope costs up to 10 ms,
+        # 60 points scan the two decades instead of 400.
+        outside = np.geomspace(0.01, 100.0, 400 if n <= 1024 else 60)
+        lams = np.union1d(outside, np.linspace(1.0 - 2.0 / n, 1.0 + 2.0 / n, 41))
         positive = np.array([susceptibility_slope(n, float(lam)) > 0.0 for lam in lams])
         changes = np.flatnonzero(positive[:-1] != positive[1:])
         assert len(changes) == 1
