@@ -31,6 +31,11 @@ from tfim_rfs.exact import _finite_curvature
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
 
+
+def _bits(c):
+    return [getattr(c, name).hex() for name in FIELDS + DERIVS]
+
+
 CRITICAL = {
     "sz": 2.0 / math.pi,
     "xx": 2.0 / math.pi,
@@ -242,13 +247,11 @@ class TestChainSpec:
         # ChainSpec(8, -0.0) equals ChainSpec(8, 0.0) and hashes alike, so the
         # memo returns whichever record was asked for first; d_sz = -lam d_xx
         # gives each sign of zero its own bits unless lam is normalized.
-        expected = [getattr(_finite_curvature(ChainSpec(8, 0.0))[0], name).hex()
-                    for name in FIELDS + DERIVS]
+        expected = _bits(_finite_curvature(ChainSpec(8, 0.0))[0])
         for order in ((0.0, -0.0), (-0.0, 0.0)):
             tfim_rfs.exact._correlators_finite_cached.cache_clear()
             for lam in order:
-                c = correlators_finite(ChainSpec(8, lam))
-                assert [getattr(c, name).hex() for name in FIELDS + DERIVS] == expected, order
+                assert _bits(correlators_finite(ChainSpec(8, lam))) == expected, order
         assert ChainSpec(8, -0.0).lam.hex() == "0x0.0p+0"
 
 
@@ -519,10 +522,6 @@ def test_finite_sums_take_no_page_faults():
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     rises = json.loads(proc.stdout)
     assert max(rises) <= 20, f"minor page faults per 20 calls: {rises}"
-
-
-def _bits(c):
-    return [getattr(c, name).hex() for name in FIELDS + DERIVS]
 
 
 class TestFiniteMemo:

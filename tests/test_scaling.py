@@ -52,11 +52,12 @@ class TestFindPeak:
         assert 0.0 < small.lambda_m < 1.0
         assert abs(large.lambda_m - 1.0) < abs(small.lambda_m - 1.0)
 
-    @pytest.mark.parametrize("n", [256, 4096, 2 ** 16])
-    def test_local_maximum_certificate(self, n):
-        rec = find_peak(n)
-        for probe in (rec.lambda_m - 1e-6, rec.lambda_m + 1e-6):
-            assert susceptibility(n, probe) <= rec.chi_m
+    def test_local_maximum_certificate(self):
+        # find_peak returns the root of the slope; chi itself is checked here.
+        for n in (256, 4096, 2 ** 16):
+            rec = find_peak(n)
+            for probe in (rec.lambda_m - 1e-6, rec.lambda_m + 1e-6):
+                assert susceptibility(n, probe) <= rec.chi_m, n
 
     def test_unimodal_scan(self):
         lams = np.linspace(0.8, 1.1, 41)
