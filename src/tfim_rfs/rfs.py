@@ -10,8 +10,9 @@ memo sums the point's own coupling once for all of its calls) and
       chi_i = [ (tr rho_i')^2 - 4 det rho_i'
                 + (d/dlam det rho_i)^2 / det rho_i ] / (4 tr rho_i).
 
-  One per-block routine evaluates this for both blocks, and a second one its
-  lam-slope for ``susceptibility_slope``, which the peak search solves.
+  One routine lays out both blocks with det and (d/dlam det) / 2, for every
+  consumer: the closed form, its lam-slope for ``susceptibility_slope``
+  (which the peak search solves), the array pass and the fidelity.
   The tests hold it to the quantum Fisher information of the blocks'
   eigen-decomposition (mpmath) and of an exactly diagonalized ring.
 
@@ -30,6 +31,7 @@ positivity: ``TwoSiteRdm`` checks both blocks when it is built.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,24 +83,36 @@ class RfsValue:
     discrepancy: float | None = None
 
 
-def _block_det_half(a, b, c, da, db, dc):
-    """det = a b - c^2 and half = (d/dlam det) / 2 of the block [[a, c], [c, b]]
-    with derivative block [[da, dc], [dc, db]]; floats or arrays."""
-    return a * b - c * c, 0.5 * (b * da + a * db) - c * dc
+# The fields of a TwoSiteRdm as arrays, for the array pass; nothing checks them.
+_RdmArrays = namedtuple("_RdmArrays", TwoSiteRdm.__match_args__)
 
 
-def _block_chi(a, b, da, db, dc, det, half):
+def _blocks(rho):
+    """Block 1 [[u+, z-], [z-, u-]] and block 2 [[w, z+], [z+, w]] of a
+    ``TwoSiteRdm`` or an unchecked ``_RdmArrays``, each as (a, b, c, da, db,
+    dc, det, half): [[a, c], [c, b]] with derivative [[da, dc], [dc, db]],
+    det = a b - c^2 and half = (d/dlam det) / 2."""
+    a, b, c = rho.u_plus, rho.u_minus, rho.z_minus
+    da, db, dc = rho.d_u_plus, rho.d_u_minus, rho.d_z_minus
+    w, z, dw, dz = rho.w, rho.z_plus, rho.d_w, rho.d_z_plus
+    return ((a, b, c, da, db, dc, a * b - c * c, 0.5 * (b * da + a * db) - c * dc),
+            (w, w, z, dw, dw, dz, w * w - z * z, 0.5 * (w * dw + w * dw) - z * dz))
+
+
+def _block_chi(block):
     """chi_b = [(da - db)^2 + 4 dc^2 + 4 half^2 / det] / [4 (a + b)] of a
     nonsingular block; floats or arrays.  Squares are products, as numpy
     squares: Python's ``x ** 2`` calls pow, which can round differently."""
+    a, b, _, da, db, dc, det, half = block
     diff = da - db
     return (diff * diff + 4.0 * (dc * dc) + 4.0 * half * half / det) / (4.0 * (a + b))
 
 
-def _block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi, det, half):
+def _block_slope(block, dda, ddb, ddc, chi):
     """dchi_b/dlam of a block, from its second derivatives (dda, ddb, ddc) and
-    its chi_b, det and half: the quotient rule on chi_b,
+    its chi_b: the quotient rule on chi_b,
     with d half = da db + (b dda + a ddb) / 2 - dc^2 - c ddc."""
+    a, b, c, da, db, dc, det, half = block
     d_half = da * db + 0.5 * (b * dda + a * ddb) - dc * dc - c * ddc
     d_num = (
         2.0 * (da - db) * (dda - ddb) + 8.0 * dc * ddc
@@ -107,41 +121,36 @@ def _block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi, det, half):
     return (d_num - 4.0 * chi * (da + db)) / (4.0 * (a + b))
 
 
-def _check_nonsingular(det1, det2) -> None:
-    if min(det1, det2) <= _SINGULAR_TOL:
+def _closed_form_blocks(rho: TwoSiteRdm):
+    """Both ``_blocks`` of rho and their chi_b; SingularBlockError if a det <= 1e-12."""
+    one, two = _blocks(rho)
+    if min(one[6], two[6]) <= _SINGULAR_TOL:
         raise SingularBlockError(
-            f"singular block (det1={det1:.3e}, det2={det2:.3e}); "
+            f"singular block (det1={one[6]:.3e}, det2={two[6]:.3e}); "
             "use the fidelity oracle instead"
         )
+    return one, two, _block_chi(one), _block_chi(two)
 
 
 def rfs_closed_form(rho: TwoSiteRdm) -> RfsValue:
-    """Closed-form susceptibility chi_1 + chi_2 of block 1 [[u+, z-], [z-, u-]]
-    and block 2 [[w, z+], [z+, w]] of a two-site RDM.
+    """Closed-form susceptibility chi_1 + chi_2 over the two blocks of a two-site RDM.
 
     Raises SingularBlockError when det_i <= 1e-12.  ``TwoSiteRdm`` holds
     only positive blocks, so det_i > 1e-12 forces tr_i > 2e-6 and each chi_i
     is a sum of squares over a positive trace: chi >= 0.
     """
-    a, b, c = rho.u_plus, rho.u_minus, rho.z_minus
-    da, db, dc = rho.d_u_plus, rho.d_u_minus, rho.d_z_minus
-    w, z, dw, dz = rho.w, rho.z_plus, rho.d_w, rho.d_z_plus
-    det1, half1 = _block_det_half(a, b, c, da, db, dc)
-    det2, half2 = _block_det_half(w, w, z, dw, dw, dz)
-    _check_nonsingular(det1, det2)
-    chi1 = _block_chi(a, b, da, db, dc, det1, half1)
-    chi2 = _block_chi(w, w, dw, dw, dz, det2, half2)
+    _, _, chi1, chi2 = _closed_form_blocks(rho)
     # Positional: keyword arguments cost the frozen dataclass about 0.3 us a call.
     return RfsValue(chi1 + chi2, chi1, chi2)
 
 
-def _block_fidelity(a11, a22, a12, b11, b22, b12) -> float:
-    """tr sqrt(sqrt(A) B sqrt(A)) for PSD symmetric 2x2 A, B; the clamps
+def _block_fidelity(block, other) -> float:
+    """tr sqrt(sqrt(A) B sqrt(A)) for PSD ``_blocks`` A, B; the clamps
     absorb the roundoff that ``TwoSiteRdm``'s positivity slack allows."""
+    a11, a22, a12, _, _, _, det_a, _ = block
+    b11, b22, b12, _, _, _, det_b, _ = other
     tr_ab = a11 * b11 + a22 * b22 + 2.0 * a12 * b12
-    det_a = max(a11 * a22 - a12 * a12, 0.0)
-    det_b = max(b11 * b22 - b12 * b12, 0.0)
-    return math.sqrt(max(tr_ab + 2.0 * math.sqrt(det_a * det_b), 0.0))
+    return math.sqrt(max(tr_ab + 2.0 * math.sqrt(max(det_a, 0.0) * max(det_b, 0.0)), 0.0))
 
 
 def _uhlmann_fidelity(rho: TwoSiteRdm, rho_tilde: TwoSiteRdm) -> float:
@@ -151,14 +160,8 @@ def _uhlmann_fidelity(rho: TwoSiteRdm, rho_tilde: TwoSiteRdm) -> float:
     the per-block closed forms.  The result lies in [0, 1] and equals 1
     exactly when the states coincide.
     """
-    f = _block_fidelity(
-        rho.u_plus, rho.u_minus, rho.z_minus,
-        rho_tilde.u_plus, rho_tilde.u_minus, rho_tilde.z_minus,
-    ) + _block_fidelity(
-        rho.w, rho.w, rho.z_plus,
-        rho_tilde.w, rho_tilde.w, rho_tilde.z_plus,
-    )
-    return min(f, 1.0)
+    one, two = map(_block_fidelity, _blocks(rho), _blocks(rho_tilde))
+    return min(one + two, 1.0)
 
 
 def _oracle_estimate(spec: ChainSpec, delta: float) -> float:
@@ -167,8 +170,6 @@ def _oracle_estimate(spec: ChainSpec, delta: float) -> float:
     ``delta`` may be negative; this is the raw (unextrapolated) quantity
     whose delta -> 0 limit defines the susceptibility.
     """
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero")
     rho = build_rdm(correlators_finite(spec))
     rho_shifted = build_rdm(correlators_finite(ChainSpec(spec.n_sites, spec.lam + delta)))
     fid = _uhlmann_fidelity(rho, rho_shifted)
@@ -228,18 +229,9 @@ def susceptibility_slope(n_sites: int, lam: float) -> float:
     as ``susceptibility``.
     """
     correlators, second = _finite_curvature(ChainSpec(n_sites, lam))
-    rho = build_rdm(correlators)
-    a, b, c = rho.u_plus, rho.u_minus, rho.z_minus
-    da, db, dc = rho.d_u_plus, rho.d_u_minus, rho.d_z_minus
-    w, z, dw, dz = rho.w, rho.z_plus, rho.d_w, rho.d_z_plus
-    det1, half1 = _block_det_half(a, b, c, da, db, dc)
-    det2, half2 = _block_det_half(w, w, z, dw, dw, dz)
-    _check_nonsingular(det1, det2)
-    chi1 = _block_chi(a, b, da, db, dc, det1, half1)
-    chi2 = _block_chi(w, w, dw, dw, dz, det2, half2)
+    one, two, chi1, chi2 = _closed_form_blocks(build_rdm(correlators))
     dda, ddb, ddw, ddz, ddc = _element_derivatives(*second)
-    return (_block_slope(a, b, c, da, db, dc, dda, ddb, ddc, chi1, det1, half1)
-            + _block_slope(w, w, z, dw, dw, dz, ddw, ddw, ddz, chi2, det2, half2))
+    return _block_slope(one, dda, ddb, ddc, chi1) + _block_slope(two, ddw, ddw, ddz, chi2)
 
 
 def susceptibility_thermo(lam: float) -> float:
@@ -261,18 +253,13 @@ def _susceptibility_thermo_array(lam: np.ndarray):
         fields, ok = _correlators_thermo_array(lam)
         if fields is None:
             return np.empty_like(lam), ok
-        sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz = fields
         for derivative in fields[4:]:
             ok &= np.isfinite(derivative)
-        u_plus, u_minus, w, z_plus, z_minus = _elements(sz, xx, yy, zz)
-        d_u_plus, d_u_minus, d_w, d_z_plus, d_z_minus = _element_derivatives(d_sz, d_xx, d_yy, d_zz)
-        det1, half1 = _block_det_half(u_plus, u_minus, z_minus, d_u_plus, d_u_minus, d_z_minus)
-        det2, half2 = _block_det_half(w, w, z_plus, d_w, d_w, d_z_plus)
+        one, two = _blocks(_RdmArrays(*_elements(*fields[:4]), *_element_derivatives(*fields[4:])))
         # This mask also covers TwoSiteRdm's positivity check: with every
         # |correlator| <= 1 + 1e-12, each block's trace is >= -5e-13, so an
         # eigenvalue below -1e-10 leaves the other one positive and det < 0,
         # up to a roundoff far below 1e-12.
-        ok &= (det1 > _SINGULAR_TOL) & (det2 > _SINGULAR_TOL)
-        chi = (_block_chi(u_plus, u_minus, d_u_plus, d_u_minus, d_z_minus, det1, half1)
-               + _block_chi(w, w, d_w, d_w, d_z_plus, det2, half2))
+        ok &= (one[6] > _SINGULAR_TOL) & (two[6] > _SINGULAR_TOL)
+        chi = _block_chi(one) + _block_chi(two)
     return chi, ok

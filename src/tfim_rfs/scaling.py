@@ -347,7 +347,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     Each size is sampled at 41 offsets w = N (lam - lam_m) evenly spaced on
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
-    PeakRecord) or computed for the sizes it lacks.
+    PeakRecord) or computed for the sizes it lacks.  Raises ValueError before
+    sampling if the window reaches lam < 0, which it does at N <= 10.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
@@ -357,6 +358,10 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     samples = {}
     for n in sizes:
         rec = peaks[n] if n in peaks else find_peak(n)
+        low = rec.lambda_m + _COLLAPSE_WINDOW[0] / n
+        if low < 0.0:
+            raise ValueError(f"the collapse window at N={n} starts at lam = lam_m - 10/N = "
+                             f"{low!r} < 0 (lam_m = {rec.lambda_m!r}); use N >= 12")
         sqrt_peak = math.sqrt(rec.chi_m)
         ys = [sqrt_peak - math.sqrt(susceptibility(n, rec.lambda_m + w / n)) for w in offsets]
         samples[n] = (offsets, np.array(ys))

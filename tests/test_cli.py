@@ -249,6 +249,33 @@ def test_collapse_extreme_exponent_exits_two(nu, message, capsys):
     assert message in err
 
 
+def test_collapse_below_twelve_sites_names_the_size(capsys):
+    # This used to exit 2 with "lam must be finite and >= 0", naming no size.
+    code, out, err = run_cli(["collapse", "--sizes", "8,16,32"], capsys)
+    assert code == 2 and out == ""
+    assert "N=8" in err and "lam_m = 0.9054342433103578" in err and "N >= 12" in err
+
+
+@pytest.mark.parametrize("config,flags,code,message", [
+    ("format = xml\n", [], 2, "format must be csv or json, got 'xml'"),
+    ("sizes = 12\nsteps\n", [], 2, "run.cfg:2: expected 'key = value'"),
+    ("verify = maybe\n", [], 2, "cannot parse boolean 'maybe'"),
+    ("verify = off\n", [], 0, ""),
+    ("", ["--sizes", "a,b"], 2, "cannot parse sizes 'a,b'; expected e.g. 512,1024"),
+    ("", ["--nu", "nan"], 2, "nu must be finite, got nan"),
+], ids=["format_xml", "no_equals", "verify_maybe", "verify_off", "sizes_text", "nu_nan"])
+def test_config_and_flag_values_checked(config, flags, code, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    args = ["sweep", "--sizes", "12", "--steps", "2", "--config", str(path), *flags]
+    got, out, err = run_cli(args, capsys)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("tfim-rfs: error: ") and err.endswith(message + "\n")
+    else:
+        assert err == "" and out.startswith("n_sites,lambda,chi\n")
+
+
 def test_import_needs_no_scipy():
     # A fresh interpreter, so that modules other tests imported do not count.
     src = Path(__file__).resolve().parents[1] / "src"

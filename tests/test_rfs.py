@@ -14,6 +14,7 @@ from tfim_rfs import (
     rfs_closed_form,
     rfs_oracle,
     susceptibility,
+    susceptibility_slope,
     susceptibility_thermo,
 )
 from tfim_rfs.rfs import _oracle_estimate, _susceptibility_thermo_array, _uhlmann_fidelity
@@ -66,6 +67,19 @@ class TestClosedForm:
         value = rfs_closed_form(rho)
         assert (value.chi_block1.hex(), value.chi_block2.hex()) == (block1, block2)
         assert value.chi == value.chi_block1 + value.chi_block2
+
+    @pytest.mark.parametrize("n,lam,slope", [
+        (4, 0.7, "-0x1.352d61e4392ecp-6"),
+        (4, 1.3, "-0x1.937b6b60b1486p-2"),
+        (64, 1.0, "-0x1.1b46b53e069b3p+3"),
+        (512, 0.999, "0x1.04ec39b803a18p+8"),
+        (2**14, 0.9999, "0x1.95358540e3da0p+14"),
+        (2**14, 1.0, "-0x1.438cde3396026p+6"),
+    ])
+    def test_slope_pinned(self, n, lam, slope):
+        # Bit patterns of dchi/dlam, the function the peak search solves, from
+        # the per-block slope on the closed form's own blocks and chi_b.
+        assert susceptibility_slope(n, lam).hex() == slope
 
     @pytest.mark.parametrize("lam,dets", [
         (0.0, "det1=0.000e+00, det2=0.000e+00"),
@@ -185,6 +199,14 @@ class TestOracle:
         chi = rfs_closed_form(rdm_at(512, 0.95)).chi
         raw_error = abs(_oracle_estimate(spec, 1e-4) - chi)
         assert abs(rfs_oracle(spec, 1e-4).chi - chi) < raw_error
+
+    def test_singular_closed_form_leaves_no_discrepancy(self):
+        # At lam = 1e-3 and N = 8 a block determinant is below 1e-12, so the
+        # closed form raises; the oracle still gives chi, with nothing to compare.
+        with pytest.raises(SingularBlockError):
+            rfs_closed_form(rdm_at(8, 1e-3))
+        value = rfs_oracle(ChainSpec(8, 1e-3), 1e-6)
+        assert math.isfinite(value.chi) and value.discrepancy is None
 
     @pytest.mark.parametrize("delta", [1e-7, 5e-3, 0.0])
     def test_step_bounds(self, delta):

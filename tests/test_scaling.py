@@ -424,6 +424,28 @@ class TestDataCollapse:
         with pytest.raises(ValueError):
             collapse_quality(CollapseCurve(samples=samples, nu=1.0))
 
+    @pytest.mark.parametrize("sizes,small,lam_m", [
+        ([8, 16, 32], 8, "0.9054342433103578"),
+        ([10, 12, 14], 10, "0.9348962946848883"),
+    ])
+    def test_window_below_zero_names_the_size(self, sizes, small, lam_m, monkeypatch):
+        # The window w >= -10 reaches lam < 0 when lam_m < 10/N, at N <= 10;
+        # it used to fail on the first sample with ChainSpec's bare message.
+        message = rf"window at N={small} starts at lam = lam_m - 10/N = -0\.\d+ < 0 \(lam_m = {lam_m}\)"
+        for collapse in (data_collapse, best_collapse_exponent):
+            with pytest.raises(ValueError, match=message):
+                collapse(sizes)
+        # Given the peaks, no chi is evaluated before the error.
+        peaks = {n: find_peak(n) for n in sizes}
+        calls = []
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
+                            lambda n, lam: calls.append((n, lam)) or susceptibility(n, lam))
+        for collapse in (data_collapse, best_collapse_exponent):
+            with pytest.raises(ValueError, match=message):
+                collapse(sizes, peaks=peaks)
+        assert calls == []
+        assert collapse_quality(data_collapse([12, 14, 16])) >= 0.0
+
     def test_unit_exponent_collapses(self, collapse_peaks):
         curve = data_collapse(COLLAPSE_SIZES, nu=1.0, peaks=collapse_peaks)
         assert collapse_quality(curve) <= 0.05
