@@ -13,10 +13,9 @@ In the thermodynamic limit the same amplitude governs
 chi(lam) ~ A (ln 1/|1-lam| + d1)^2 + d2, and equality of the two amplitudes
 fixes the scaling exponent nu = 1: curves of sqrt(chi_m) - sqrt(chi(lam))
 plotted against N^nu (lam - lam_m) collapse onto one size-independent
-function.  Their spread is measured on a monotone piecewise-cubic
-interpolant written here in numpy, so the package needs numpy alone; it is
-invariant under x -> c x, so the exponent search builds each size's cubic
-once, at nu = 1, and evaluates it at x / N^(nu-1) for each trial exponent.
+function.  Their spread is measured by linear interpolation (np.interp),
+which never overshoots, of each size's curve in w = N (lam - lam_m) at
+x / N^(nu-1), so a trial exponent rescales the curves without resampling.
 """
 
 from __future__ import annotations
@@ -206,7 +205,8 @@ def fit_finite_size(peaks) -> ScalingFit:
 
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
-    the analytic reference, and the relative slope deviation.
+    the analytic reference, and the relative slope deviation.  ValueError for
+    fewer than two distinct sizes, or a slope of exactly 0 (c1 undetermined).
     """
     peaks = sorted(peaks, key=lambda p: p.n_sites)
     sizes = [p.n_sites for p in peaks]
@@ -217,6 +217,8 @@ def fit_finite_size(peaks) -> ScalingFit:
     x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
     dx = x - x_mean
     slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
+    if slope == 0.0:
+        raise ValueError("the fitted slope is 0: c1 = intercept/slope is not determined")
     intercept = y_mean - slope * x_mean
     r_sq = _r_squared(y, y - (slope * x + intercept))
     ref = math.sqrt(LOG_SQUARED_AMPLITUDE)
@@ -336,9 +338,15 @@ class CollapseCurve:
         return factors
 
     def by_size(self) -> dict:
-        """Per-size (x, y) arrays, sizes and x ascending; see ``_factors``."""
-        return {n: (self.samples[n][0] * factor, self.samples[n][1])
-                for n, factor in self._factors().items()}
+        """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x
+        is not finite, or see ``_factors``."""
+        with np.errstate(over="ignore"):
+            curves = {n: (self.samples[n][0] * factor, self.samples[n][1])
+                      for n, factor in self._factors().items()}
+        for n, (x, _) in curves.items():
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"x = N^(nu-1) w is not finite for N={n}, nu={self.nu!r}")
+        return curves
 
 
 def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
@@ -368,80 +376,28 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     return CollapseCurve(samples=samples, nu=float(nu))
 
 
-def _pchip_build(xs, ys):
-    """The monotone piecewise cubic through (xs, ys), for ``_pchip_eval``.
-
-    The Fritsch-Carlson interpolant (SIAM J. Numer. Anal. 17 (1980) 238): a
-    cubic Hermite spline whose interior slopes are the weighted harmonic mean
-    of the neighbouring secants, or 0 where those change sign or vanish, so
-    it does not overshoot the data.  The end slopes are the one-sided
-    three-point estimates of C. Moler, Numerical Computing with MATLAB,
-    sec. 3.6; the end cubics extend past the data.  The arithmetic follows
-    scipy's PchipInterpolator (1.17) operation by operation, so the values
-    are the same bit for bit.  Raises ValueError unless xs and ys are 1-d,
-    of one length >= 2, finite, and xs strictly increasing.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError(f"x and y must be 1-d of one length, got shapes {xs.shape} and {ys.shape}")
-    if xs.size < 2:
-        raise ValueError("need at least 2 points to interpolate")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("x and y must be finite")
-    h = np.diff(xs)
-    if np.any(h <= 0.0):
-        raise ValueError("x must be strictly increasing")
-    m = np.diff(ys) / h
-    if xs.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        # Ends: the first and the last interval, each with its inner neighbour.
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-        with np.errstate(divide="ignore", invalid="ignore"):  # the flat entries are dropped
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            inner = np.where(flat, 0.0, 1.0 / whmean)
-        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
-        end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end))
-        d = np.concatenate(([end[0]], inner, [end[1]]))
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c0, c1 = t / h, (m - d[:-1]) / h - t
-    return xs, ys, d, c1, c0
-
-
-def _pchip_eval(cubic, grid):
-    """Values on ``grid`` of a cubic from ``_pchip_build``."""
-    xs, ys, d, c1, c0 = cubic
-    i = np.clip(np.searchsorted(xs, grid, "right") - 1, 0, xs.size - 2)
-    s = grid - xs[i]
-    s2 = s * s
-    return (ys[i] + d[i] * s) + c1[i] * s2 + c0[i] * (s2 * s)
-
-
-def _collapse_spread(branches, scales, nu, cubics=None) -> float:
-    """Collapse quality of 2 or more curves (size -> (knots, y), sizes
-    ascending) whose knots times scales[n] are the x of size n.  Each size's
-    cubic, from ``cubics`` or else built here, is evaluated at x / scales[n].
-    """
-    lo = max(xs[0] * scales[n] for n, (xs, _) in branches.items())
-    hi = min(xs[-1] * scales[n] for n, (xs, _) in branches.items())
+def _collapse_spread(samples, scales, nu) -> float:
+    """Collapse quality of 2 or more curves (size -> (w, y), sizes ascending)
+    whose x is scales[n] w, each interpolated linearly in w at x / scales[n]."""
+    for w, y in samples.values():
+        if w.ndim != 1 or w.shape != y.shape:
+            raise ValueError(f"x and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
+        if w.size < 2:
+            raise ValueError("need at least 2 points to interpolate")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must be finite")
+        if np.any(np.diff(w) <= 0.0):
+            raise ValueError("x must be strictly increasing")
+    lo = max(float(w[0]) * scales[n] for n, (w, _) in samples.items())
+    hi = min(float(w[-1]) * scales[n] for n, (w, _) in samples.items())
     if lo >= hi:
         raise ValueError(f"empty overlap window: [{lo}, {hi}]")
     grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cubics = cubics or {n: _pchip_build(xs, ys) for n, (xs, ys) in branches.items()}
-        interpolated = np.array([_pchip_eval(cubics[n], grid / scales[n]) for n in branches])
+    interpolated = np.array([np.interp(grid / scales[n], w, y) for n, (w, y) in samples.items()])
     if not np.all(np.isfinite(interpolated)):
-        raise ValueError(f"collapse curves are not finite for N={list(branches)}, "
-                         f"nu={nu!r}: the rescaled x reaches {hi:.3g}")
-    spread = np.zeros_like(grid)
+        raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={nu!r}")
     pairs = list(combinations(interpolated, 2))
-    for a, b in pairs:
-        spread += np.abs(a - b)
-    mean_spread = float(np.mean(spread / len(pairs)))
+    mean_spread = float(np.mean(sum(np.abs(a - b) for a, b in pairs) / len(pairs)))
     mean_curve = interpolated.mean(axis=0)
     swing = float(mean_curve.max() - mean_curve.min())
     if swing == 0.0:
@@ -453,33 +409,30 @@ def collapse_quality(curve: CollapseCurve) -> float:
     """Mean pairwise spread of the curves at matched x, relative to the
     swing of their mean.
 
-    Curves are compared at 101 evenly spaced x of their common window, by
-    monotone piecewise-cubic interpolation (no overshoot).  Identical curves
-    give 0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
-    Fewer than 2 sizes raise ValueError: a single curve has no spread to
-    measure.  So do an empty overlap window and curves whose cubics
-    overflow (rescaled x beyond about 1e100).
+    Curves are compared at 101 evenly spaced x of their common window by
+    linear interpolation, which does not overshoot.  Identical curves give
+    0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
+    ValueError for fewer than 2 sizes (one curve has no spread), an empty
+    overlap window, and per-size samples that are not 1-d of one length
+    >= 2, finite, with w strictly increasing.
     """
-    branches = curve.by_size()
-    if len(branches) < 2:
-        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, "
-                         f"got {list(branches)}")
-    return _collapse_spread(branches, dict.fromkeys(branches, 1.0), curve.nu)
+    scales = curve._factors()
+    if len(scales) < 2:
+        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {list(scales)}")
+    samples = {n: tuple(np.asarray(a, dtype=float) for a in curve.samples[n]) for n in scales}
+    return _collapse_spread(samples, scales, curve.nu)
 
 
 def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    The curves are sampled and each size's cubic built once, at nu = 1; the
-    cubic is invariant under x -> c x, so a trial evaluates it at
-    x / N^(nu-1), within about 1e-15 relative of ``collapse_quality``.
-    Golden-section search stops at a bracket narrower than 1e-3.  Raises
-    ValueError for fewer than 2 distinct sizes: one curve fits every nu.
+    The curves are sampled once, at nu = 1; each trial scores
+    ``collapse_quality`` with nu replaced.  Golden-section search stops at a
+    bracket narrower than 1e-3.  Raises ValueError for fewer than 2
+    distinct sizes: one curve fits every nu.
     """
     if len(set(int(n) for n in sizes)) < 2:
         raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {list(sizes)}")
     sampled = data_collapse(sizes, peaks=peaks)
-    unit = sampled.by_size()
-    cubics = {n: _pchip_build(w, y) for n, (w, y) in unit.items()}
-    return _golden_section_max(lambda nu: -_collapse_spread(
-        unit, replace(sampled, nu=nu)._factors(), nu, cubics), *_NU_BOUNDS, _NU_TOL)
+    return _golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
+                               *_NU_BOUNDS, _NU_TOL)

@@ -13,7 +13,8 @@ import pytest
 import tfim_rfs.cli
 import tfim_rfs.exact
 import tfim_rfs.rfs
-from tfim_rfs.cli import _OPTIONS, build_parser, load_config_file, main, resolve_config
+from tfim_rfs.cli import (_OPTIONS, RunConfig, UsageError, build_parser, load_config_file, main,
+                          resolve_config)
 
 
 def run_cli(args, capsys):
@@ -228,6 +229,22 @@ def test_usage_errors_exit_two(args, capsys):
     assert code == 2 and err != ""
 
 
+def test_run_config_rejects_unknown_command():
+    with pytest.raises(UsageError, match="unknown command 'fit'"):
+        RunConfig(command="fit", sizes=(12,), lambda_min=0.9, lambda_max=1.1, steps=3,
+                  delta=1e-5, nu=1.0, verify=False, output_format="csv", output_path=None)
+
+
+def test_internal_failure_exits_one(monkeypatch, capsys):
+    def broken(n_sites):
+        raise RuntimeError(f"no peak for N={n_sites}")
+
+    monkeypatch.setattr(tfim_rfs.cli, "find_peak", broken)
+    code, out, err = run_cli(["peak", "--sizes", "12"], capsys)
+    assert code == 1 and out == ""
+    assert err == "tfim-rfs: internal error: no peak for N=12\n"
+
+
 def test_overflowing_coupling_exits_two(capsys):
     # chi used to print as 0.0: (1 - lam)^2 overflowed and every correlator vanished.
     code, out, err = run_cli(["sweep", "--sizes", "64", "--lambda-min", "1e155",
@@ -239,7 +256,7 @@ def test_overflowing_coupling_exits_two(capsys):
 @pytest.mark.parametrize("nu, message", [
     ("200", "N^(nu-1) overflows for N=64, nu=200.0"),
     ("130", "N^(nu-1) overflows for N=256, nu=130.0"),
-    ("60", "collapse curves are not finite for N=[64, 128, 256], nu=60.0"),
+    ("128.9", "x = N^(nu-1) w is not finite for N=256, nu=128.9"),
     ("-300", "empty overlap window"),
 ])
 def test_collapse_extreme_exponent_exits_two(nu, message, capsys):
@@ -247,6 +264,16 @@ def test_collapse_extreme_exponent_exits_two(nu, message, capsys):
     code, out, err = run_cli(["collapse", "--sizes", "64,128,256", "--nu", nu], capsys)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_collapse_large_exponent_scores_worse(capsys):
+    # --nu 60 used to exit 2: the cubic overflowed on x near 1e143.
+    qualities = []
+    for nu in ("1", "60"):
+        code, out, err = run_cli(["collapse", "--sizes", "64,128,256", "--nu", nu], capsys)
+        assert code == 0 and err == ""
+        qualities.append(float(parse_csv(out)[1]["collapse_quality"]))
+    assert math.isfinite(qualities[1]) and qualities[1] > qualities[0]
 
 
 def test_collapse_below_twelve_sites_names_the_size(capsys):
