@@ -30,8 +30,11 @@ table, so every sum is bitwise np.add.reduce of the whole summand array (see
 ``_pairwise_sums``).  The table of s is built in place, in one array of N/2
 doubles.  Tables and the records of ``correlators_finite`` are each kept for
 the 64 most recent sizes or specs: a verified sweep row asks for its own
-coupling six times.  Against a 40-digit reference, chi at lam = 1 is within
-about 1e-15 relative up to N = 32768.  For N <= 10 the tests also check every
+coupling six times.  ``_correlators_finite_array`` runs the same kernel on
+many couplings of one size at once, each a row of a couplings x modes block
+in the same work arrays, bitwise ``correlators_finite`` at each: the data
+collapse samples its 40 couplings per size this way.  Against a 40-digit
+reference, chi at lam = 1 is within about 1e-15 relative up to N = 32768.  For N <= 10 the tests also check every
 correlator and derivative against exact diagonalization of the spin
 Hamiltonian, which shares no step with the free-fermion solution.
 """
@@ -166,20 +169,27 @@ def _block_sums(s, lam, work, curvature):
     """Unnormalized momentum sums over one block ``s`` of the half-angle table.
 
     Returns the sums of the sz, xx/2, yy/2, d_xx and d_yy summands, then, with
-    ``curvature``, of the d2_xx and d2_yy summands.  Each summand is evaluated
-    into the three arrays of ``work`` with numpy ``out=`` and in-place ufuncs and
-    reduced by np.add.reduce.  Every element is rounded as the summand's plain
-    expression rounds it: the operations are the expression's, in its order,
-    except for factors of 2 moved where scaling is exact.  2 s - gap and
-    1 - 2 s round to 2 (s - gap/2) and 2 (1/2 - s), and (2 lam)(2 u) and
-    (4 lam) u are the same product rounded once.  xx and yy also drop the 2
+    ``curvature``, of the d2_xx and d2_yy summands.  ``lam`` is a float, or a
+    (k, 1) column of k couplings: then each summand is k rows of len(s) modes,
+    in the first k len(s) doubles of a work array, and each sum an array of k.
+    Each summand is evaluated into the three arrays of ``work`` with numpy
+    ``out=`` and in-place ufuncs and reduced by np.add.reduce along its last
+    axis.  Every element is rounded as the summand's plain expression rounds
+    it: the operations are the expression's, in its order, except for factors
+    of 2 moved where scaling is exact.  2 s - gap and 1 - 2 s round to
+    2 (s - gap/2) and 2 (1/2 - s), and (2 lam)(2 u) and (4 lam) u are the same
+    product rounded once.  xx and yy also drop the 2
     before their last product, which is never subnormal (a nonzero s - gap/2
     or s t - gap/2 is above about 1e-50 for any N that fits in memory, and
     1/omega above 1e-155), so the caller doubles their sums.  The 4 of
     sin^2 phi = 4 s (1 - s) stays first: s (1 - s) / omega^3 can be subnormal
     (N = 12, lam = 1e102).
     """
-    inv, buf, sin_sq_inv3 = (row[:len(s)] for row in work)
+    if isinstance(lam, np.ndarray):
+        rows, modes = len(lam), len(s)
+        inv, buf, sin_sq_inv3 = (row[:rows * modes].reshape(rows, modes) for row in work)
+    else:
+        inv, buf, sin_sq_inv3 = (row[:len(s)] for row in work)
     gap = 1.0 - lam
     half_gap = 0.5 * gap
     # omega > 0: every table entry s >= sin^2(pi/2N), and |1 - lam| > 0 off lam = 1.
@@ -196,7 +206,7 @@ def _block_sums(s, lam, work, curvature):
     sin_sq_inv3 *= inv
     sin_sq_inv3 *= inv
     sin_sq_inv3 *= inv
-    d_xx = np.add.reduce(sin_sq_inv3)
+    d_xx = np.add.reduce(sin_sq_inv3, -1)
 
     # yy / 2: (s (1 - (4 lam) (1 - s)) - gap/2) inv.
     buf *= 4.0 * lam
@@ -204,18 +214,18 @@ def _block_sums(s, lam, work, curvature):
     buf *= s
     buf -= half_gap
     buf *= inv
-    yy = np.add.reduce(buf)
+    yy = np.add.reduce(buf, -1)
 
     # xx / 2: (s - gap/2) inv.
     np.subtract(s, half_gap, out=buf)
     buf *= inv
-    xx = np.add.reduce(buf)
+    xx = np.add.reduce(buf, -1)
 
     # sz: (gap + (2 lam) s) inv.
     np.multiply(s, 2.0 * lam, out=buf)
     buf += gap
     buf *= inv
-    sz = np.add.reduce(buf)
+    sz = np.add.reduce(buf, -1)
 
     if curvature:
         # d2 xx: (((-6 (s - gap/2)) sin^2(phi)/omega^3) inv) inv, kept in buf.
@@ -224,7 +234,7 @@ def _block_sums(s, lam, work, curvature):
         buf *= sin_sq_inv3
         buf *= inv
         buf *= inv
-        d2_xx = np.add.reduce(buf)
+        d2_xx = np.add.reduce(buf, -1)
     # d yy: ((4 lam) (1/2 - s) - 1) sin^2(phi)/omega^3.  1/omega is spent, so
     # its array takes the first factor, which d2 yy shares.
     np.subtract(0.5, s, out=inv)
@@ -233,7 +243,7 @@ def _block_sums(s, lam, work, curvature):
     if curvature:
         buf *= inv
     inv *= sin_sq_inv3
-    d_yy = np.add.reduce(inv)
+    d_yy = np.add.reduce(inv, -1)
     if not curvature:
         return sz, xx, yy, d_xx, d_yy
 
@@ -243,7 +253,7 @@ def _block_sums(s, lam, work, curvature):
     inv *= 4.0
     inv *= sin_sq_inv3
     inv += buf
-    return sz, xx, yy, d_xx, d_yy, d2_xx, np.add.reduce(inv)
+    return sz, xx, yy, d_xx, d_yy, d2_xx, np.add.reduce(inv, -1)
 
 
 def _pairwise_sums(s, lam, work, curvature):
@@ -274,14 +284,19 @@ def _finite_sums(spec: ChainSpec, curvature: bool):
     if math.isinf((1.0 - lam) * (1.0 - lam)):
         raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
     s = _half_angle_table(n)
-    work = getattr(_WORK, "rows", None)
-    if work is None:
-        work = _WORK.rows = tuple(np.empty((3, _BLOCK)))
     half = len(s)
-    sums = [float(total) / half for total in _pairwise_sums(s, lam, work, curvature)]
+    sums = [float(total) / half for total in _pairwise_sums(s, lam, _work_rows(), curvature)]
     sums[1] *= 2.0  # xx
     sums[2] *= 2.0  # yy
     return sums
+
+
+def _work_rows():
+    """This thread's three work arrays of _BLOCK doubles, made on its first call."""
+    work = getattr(_WORK, "rows", None)
+    if work is None:
+        work = _WORK.rows = tuple(np.empty((3, _BLOCK)))
+    return work
 
 
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
@@ -308,15 +323,49 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
 
 @lru_cache(maxsize=64)
 def _correlators_finite_cached(spec: ChainSpec) -> CorrelatorSet:
-    return _correlator_set(spec.lam, *_finite_sums(spec, curvature=False))
+    return CorrelatorSet(*_finite_fields(spec.lam, *_finite_sums(spec, curvature=False)))
 
 
-def _correlator_set(lam, sz, xx, yy, d_xx, d_yy) -> CorrelatorSet:
-    """The record of the five finite sums, with d_sz = -lam d_xx, zz and d_zz."""
+def _finite_fields(lam, sz, xx, yy, d_xx, d_yy):
+    """The 8 fields of the record of the five finite sums, with d_sz = -lam d_xx,
+    zz and d_zz; floats or arrays, rounded alike."""
     d_sz = -lam * d_xx
     zz = sz * sz - xx * yy
     d_zz = 2.0 * sz * d_sz - d_xx * yy - xx * d_yy
-    return CorrelatorSet(sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz)
+    return sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz
+
+
+def _correlators_finite_array(n_sites: int, lams: np.ndarray):
+    """``correlators_finite`` of an N-site ring at every coupling of a 1-d array.
+
+    Returns (fields, ok): the 8 ``CorrelatorSet`` fields as arrays, and the
+    mask of the couplings that pass the checks of ``ChainSpec``,
+    ``_finite_sums`` and ``CorrelatorSet``, whose fields are bitwise the
+    scalar ones.  The rest may hold anything.  The Wick check needs no mask:
+    zz is sz^2 - xx yy computed the same way.  The couplings go through
+    ``_pairwise_sums`` as columns of as many couplings as fit, with a block of
+    modes each, in the first _BLOCK doubles of the thread's work arrays.  The
+    memo is neither read nor filled.  A bad n_sites raises ChainSpec's
+    ValueError.  Call it under ``np.errstate(all="ignore")``: masked elements
+    may overflow.
+    """
+    n = ChainSpec(n_sites, 0.0).n_sites
+    lam = lams + 0.0  # -0.0 + 0.0 is 0.0, as in ChainSpec
+    # Finite, >= 0 (NaN fails), and (1 - lam)^2 finite, which rejects lam = inf too.
+    ok = (lam >= 0.0) & np.isfinite((1.0 - lam) * (1.0 - lam))
+    s = _half_angle_table(n)
+    half = len(s)
+    # Couplings per pass: _pairwise_sums's blocks hold at most min(half, _BLOCK) modes.
+    step = _BLOCK // min(half, _BLOCK)
+    column, work = lam[:, None], _work_rows()
+    parts = [_pairwise_sums(s, column[i:i + step], work, False) for i in range(0, len(lam), step)]
+    sz, xx, yy, d_xx, d_yy = (np.concatenate(totals) / half for totals in zip(*parts))
+    xx *= 2.0
+    yy *= 2.0
+    fields = _finite_fields(lam, sz, xx, yy, d_xx, d_yy)
+    for value in fields[:4]:
+        ok &= abs(value) <= _MAX_MAGNITUDE
+    return fields, ok
 
 
 def _finite_curvature(spec: ChainSpec):
@@ -330,7 +379,7 @@ def _finite_curvature(spec: ChainSpec):
     """
     *first, d2_xx, d2_yy = _finite_sums(spec, curvature=True)
     lam = spec.lam
-    c = _correlator_set(lam, *first)
+    c = CorrelatorSet(*_finite_fields(lam, *first))
     d2_sz = -c.d_xx - lam * d2_xx
     d2_zz = (2.0 * (c.d_sz * c.d_sz + c.sz * d2_sz)
              - d2_xx * c.yy - 2.0 * c.d_xx * c.d_yy - c.xx * d2_yy)

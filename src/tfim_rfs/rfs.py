@@ -39,6 +39,7 @@ import numpy as np
 
 from .exact import (
     ChainSpec,
+    _correlators_finite_array,
     _correlators_thermo_array,
     _finite_curvature,
     correlators_finite,
@@ -257,13 +258,32 @@ def _susceptibility_thermo_array(lam: np.ndarray):
         fields, ok = _correlators_thermo_array(lam)
         if fields is None:
             return np.empty_like(lam), ok
-        for derivative in fields[4:]:
-            ok &= np.isfinite(derivative)
-        one, two = _blocks(_RdmArrays(*_elements(*fields[:4]), *_element_derivatives(*fields[4:])))
-        # This mask also covers TwoSiteRdm's positivity check: with every
-        # |correlator| <= 1 + 1e-12, each block's trace is >= -5e-13, so an
-        # eigenvalue below -1e-10 leaves the other one positive and det < 0,
-        # up to a roundoff far below 1e-12.
-        ok &= (one[6] > _SINGULAR_TOL) & (two[6] > _SINGULAR_TOL)
-        chi = _block_chi(one) + _block_chi(two)
-    return chi, ok
+        return _closed_form_array(fields, ok), ok
+
+
+def _susceptibility_finite_array(n_sites: int, lam: np.ndarray):
+    """``susceptibility(n_sites, l)`` of every coupling l of a 1-d array, in
+    passes of couplings x modes (``_correlators_finite_array``).
+
+    Returns (chi, ok), as ``_susceptibility_thermo_array`` does: where ok is
+    True the coupling passes every check of ``susceptibility``, and chi is
+    bitwise its value.  The memo is neither read nor filled.
+    """
+    with np.errstate(all="ignore"):
+        fields, ok = _correlators_finite_array(n_sites, lam)
+        return _closed_form_array(fields, ok), ok
+
+
+def _closed_form_array(fields, ok):
+    """The closed-form chi of the 8 correlator fields as arrays, through
+    ``build_rdm``'s and ``rfs_closed_form``'s own formulas; clears in ``ok``
+    the couplings that either one rejects."""
+    for derivative in fields[4:]:
+        ok &= np.isfinite(derivative)
+    one, two = _blocks(_RdmArrays(*_elements(*fields[:4]), *_element_derivatives(*fields[4:])))
+    # This mask also covers TwoSiteRdm's positivity check: with every
+    # |correlator| <= 1 + 1e-12, each block's trace is >= -5e-13, so an
+    # eigenvalue below -1e-10 leaves the other one positive and det < 0,
+    # up to a roundoff far below 1e-12.
+    ok &= (one[6] > _SINGULAR_TOL) & (two[6] > _SINGULAR_TOL)
+    return _block_chi(one) + _block_chi(two)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .exact import ChainSpec
 from .rfs import (
+    _susceptibility_finite_array,
     _susceptibility_thermo_array,
     susceptibility,
     susceptibility_slope,
@@ -357,6 +358,13 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError before
     sampling if the window reaches lam < 0, which it does at N <= 10.
+
+    The 40 samples off the peak are evaluated in one pass over couplings x
+    modes through the formulas of ``susceptibility``, so each is bitwise
+    ``susceptibility(n, lam_m + w / n)``; w = 0 is ``susceptibility(n, lam_m)``
+    itself.  A coupling that any check of the scalar path flags goes through
+    ``susceptibility``, in sample order, so a size raises the exception, with
+    the message, of its first sample that the scalar path rejects.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes:
@@ -371,25 +379,37 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
             raise ValueError(f"the collapse window at N={n} starts at lam = lam_m - 10/N = "
                              f"{low!r} < 0 (lam_m = {rec.lambda_m!r}); use N >= 12")
         sqrt_peak = math.sqrt(rec.chi_m)
-        ys = [sqrt_peak - math.sqrt(susceptibility(n, rec.lambda_m + w / n)) for w in offsets]
-        samples[n] = (offsets, np.array(ys))
+        lams = rec.lambda_m + offsets / n
+        # The w = 0 sample is chi at lam_m itself: susceptibility's memo holds
+        # it when find_peak made the record.
+        chi, ok = np.empty_like(lams), np.zeros(lams.shape, dtype=bool)
+        off_peak = offsets != 0.0
+        chi[off_peak], ok[off_peak] = _susceptibility_finite_array(n, lams[off_peak])
+        for i in np.flatnonzero(~ok):
+            chi[i] = susceptibility(n, lams[i])
+        samples[n] = (offsets, sqrt_peak - np.sqrt(chi))
     return CollapseCurve(samples=samples, nu=float(nu))
 
 
 def _collapse_spread(samples, scales, nu) -> float:
     """Collapse quality of 2 or more curves (size -> (w, y), sizes ascending)
-    whose x is scales[n] w, each interpolated linearly in w at x / scales[n]."""
+    whose x is scales[n] w, each interpolated linearly in w at x / scales[n].
+    No numpy step can overflow before its check: w is compared, not
+    differenced, and the window ends are checked finite before np.linspace."""
     for w, y in samples.values():
         if w.ndim != 1 or w.shape != y.shape:
-            raise ValueError(f"x and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
+            raise ValueError(f"w and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
         if w.size < 2:
             raise ValueError("need at least 2 points to interpolate")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
-            raise ValueError("x and y must be finite")
-        if np.any(np.diff(w) <= 0.0):
-            raise ValueError("x must be strictly increasing")
+            raise ValueError("w and y must be finite")
+        if not np.all(w[1:] > w[:-1]):
+            raise ValueError("w must be strictly increasing")
     lo = max(float(w[0]) * scales[n] for n, (w, _) in samples.items())
     hi = min(float(w[-1]) * scales[n] for n, (w, _) in samples.items())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={nu!r}: "
+                         f"the window of x = N^(nu-1) w is [{lo}, {hi}]")
     if lo >= hi:
         raise ValueError(f"empty overlap window: [{lo}, {hi}]")
     grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)

@@ -26,7 +26,7 @@ from tfim_rfs import (
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.exact import _finite_curvature
+from tfim_rfs.exact import _correlators_finite_array, _finite_curvature
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -394,6 +394,13 @@ def _summing(fn):
     return call
 
 
+def _finite_array_pass(spec):
+    """``_correlators_finite_array`` over the 41 couplings of the collapse
+    window lam + w/N, w in [-10, 10], at spec's N and lam."""
+    return _correlators_finite_array(spec.n_sites,
+                                     spec.lam + np.linspace(-10.0, 10.0, 41) / spec.n_sites)
+
+
 class TestFiniteSumsInPlace:
     # Up to 2^16 one block holds every mode; 65538 is the first size that is
     # split, and the sizes above it split into several blocks of uneven length.
@@ -467,12 +474,20 @@ class TestFiniteSumsInPlace:
             gc.garbage.clear()
         assert garbage == []
 
-    @pytest.mark.parametrize("fn", [correlators_finite, _finite_curvature])
-    def test_allocation_peak(self, fn):
+    @pytest.mark.parametrize("fn,n", [(correlators_finite, 2 ** 18), (_finite_curvature, 2 ** 18),
+                                      (_finite_array_pass, 2 ** 18), (_finite_array_pass, 4096)],
+                             ids=["correlators_finite", "_finite_curvature",
+                                  "_finite_array_pass", "_finite_array_pass-4096"])
+    def test_allocation_peak(self, fn, n):
         # A call in a new thread allocates that thread's three work arrays of
         # _BLOCK doubles; any temporary of N/2 doubles would be 4 such arrays.
-        n = 2 ** 18
+        # The array pass takes its (couplings x modes) rows from the same
+        # arrays: at N = 4096 a temporary of 16 x 2048 rows would be one array.
+        # Its broadcasting ufuncs may also hold, for the length of one call,
+        # an iterator buffer of np.getbufsize() doubles per broadcast operand
+        # (up to two; numpy 2.4 does).
         spec = ChainSpec(n, 0.9996)
+        buffers = 2 * np.getbufsize() * 8 if fn is _finite_array_pass else 0
         fn = _summing(fn)
         fn(spec)  # the momentum table is built on first use, outside the bound
         tracemalloc.start()
@@ -483,24 +498,30 @@ class TestFiniteSumsInPlace:
         finally:
             tracemalloc.stop()
         array = tfim_rfs.exact._BLOCK * 8
-        bound = 3 * array + 64 * 1024
+        bound = 3 * array + 64 * 1024 + buffers
         assert peak <= bound, (f"{fn.__name__} peaked at {peak} bytes = "
                                f"{peak / array:.3f} arrays of {array} bytes; bound {bound}")
 
 
 # Minor page faults of 20 calls each of correlators_finite and _finite_curvature
-# at N = 2^18, after 2 warm-up calls, in a fresh interpreter.  The memo of
-# correlators_finite is cleared before each of its calls, so each one sums.
+# at N = 2^18, and of the array pass over a collapse window at N = 4096 (three
+# passes of up to 16 couplings x 2048 modes), after 2 warm-up calls, in a fresh
+# interpreter.  The memo of correlators_finite is cleared before each of its
+# calls, so each one sums.
 _FAULT_PROBE = """
 import json, resource
-from tfim_rfs.exact import (ChainSpec, _correlators_finite_cached, _finite_curvature,
-                            correlators_finite)
+import numpy as np
+from tfim_rfs.exact import (ChainSpec, _correlators_finite_array, _correlators_finite_cached,
+                            _finite_curvature, correlators_finite)
 def summed(spec):
     _correlators_finite_cached.cache_clear()
     return correlators_finite(spec)
+window = 0.9996 + np.linspace(-10.0, 10.0, 41) / 4096
+def array_pass(spec):
+    return _correlators_finite_array(4096, window)
 spec = ChainSpec(2 ** 18, 0.9996)
 rises = []
-for fn in (summed, _finite_curvature):
+for fn in (summed, _finite_curvature, array_pass):
     for _ in range(2):
         fn(spec)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -13,9 +13,11 @@ import tfim_rfs.scaling  # noqa: E402
 from tfim_rfs import (  # noqa: E402
     ChainSpec,
     ConsistencyError,
+    PeakRecord,
     build_rdm,
     correlators_finite,
     correlators_thermo,
+    data_collapse,
     fit_thermo,
     susceptibility,
     susceptibility_thermo,
@@ -117,3 +119,43 @@ def test_fit_thermo_equals_scalar_composition(window):
     with mock.patch.object(tfim_rfs.scaling, "_susceptibility_thermo_array", _nothing_evaluated):
         expected = _fit_outcome(window)
     assert _fit_outcome(window) == expected
+
+
+@st.composite
+def collapse_peaks(draw):
+    """1 to 3 sizes, most even and >= 12, each with a hand-made PeakRecord
+    or none (find_peak then makes it).  lam_m lies near the peak, where every
+    sample passes; at 10/N + 10^-e, where the window starts at a coupling
+    whose block is singular; or near 1e154, where (1 - lam)^2 overflows."""
+    sizes = draw(st.lists(st.sampled_from([12, 14, 16, 64, 128, 250, 512, 1000, 13]),
+                          min_size=1, max_size=3, unique=True))
+    peaks = {}
+    for n in sizes:
+        lam_m = draw(st.floats(min_value=0.9, max_value=1.1)
+                     | st.floats(min_value=0.0, max_value=20.0).map(lambda e, n=n: 10.0 / n + 10.0 ** -e)
+                     | st.floats(min_value=1e153, max_value=1e155))
+        if draw(st.booleans()):
+            peaks[n] = PeakRecord(n, lam_m, draw(st.floats(min_value=0.0, max_value=10.0)))
+    return sizes, peaks
+
+
+def _collapse_outcome(sizes, peaks):
+    try:
+        curve = data_collapse(sizes, peaks=peaks)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+    return {n: [v.hex() for v in (*w.tolist(), *y.tolist())] for n, (w, y) in curve.samples.items()}
+
+
+@settings(PROPERTIES, max_examples=100)
+@given(case=collapse_peaks())
+def test_data_collapse_equals_scalar_composition(case):
+    # With an array pass that flags every coupling, data_collapse samples
+    # [susceptibility(n, lam_m + w / n) for w in offsets], in sample order:
+    # the scalar composition, raising where it raises.
+    def flag_all(n_sites, lam):
+        return _nothing_evaluated(lam)
+
+    with mock.patch.object(tfim_rfs.scaling, "_susceptibility_finite_array", flag_all):
+        expected = _collapse_outcome(*case)
+    assert _collapse_outcome(*case) == expected

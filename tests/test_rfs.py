@@ -11,13 +11,20 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
+    find_peak,
     rfs_closed_form,
     rfs_oracle,
     susceptibility,
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.rfs import _oracle_estimate, _susceptibility_thermo_array, _uhlmann_fidelity
+from tfim_rfs.rfs import (
+    _oracle_estimate,
+    _susceptibility_finite_array,
+    _susceptibility_thermo_array,
+    _uhlmann_fidelity,
+)
+from test_exact import PLAIN_LAMS
 
 
 def rdm_at(n, lam):
@@ -142,6 +149,27 @@ def test_array_pass_flags_exactly_the_scalar_failures():
             continue
         assert passed and value.hex() == expected.hex(), lam
     assert 0 < raised < len(lams)
+
+
+@pytest.mark.parametrize("n", [12, 64, 4096, 2 ** 16, 2 ** 17])
+def test_finite_array_pass_is_bitwise_the_scalar_path(n):
+    # The couplings of PLAIN_LAMS, a few that ChainSpec or the overflow check
+    # rejects, and the 41 of the collapse window around the peak.  Up to N =
+    # 4096 one pass holds several couplings, each a row of a 2-d block; at
+    # 2^17 the modes split into two blocks, added along the pairwise tree.
+    window = find_peak(n).lambda_m + np.linspace(-10.0, 10.0, 41) / n
+    lams = np.concatenate([PLAIN_LAMS, [-0.0, -1e-300, math.nan, math.inf, 1e155], window])
+    chi, ok = _susceptibility_finite_array(n, lams)
+    passed = 0
+    for lam, value, flagged in zip(lams.tolist(), chi.tolist(), (~ok).tolist()):
+        try:
+            expected = susceptibility(n, lam)
+        except (ValueError, ConsistencyError):
+            assert flagged, lam
+            continue
+        assert not flagged and value.hex() == expected.hex(), lam
+        passed += 1
+    assert passed >= 41
 
 
 class TestUhlmannFidelity:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import warnings
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -30,6 +31,7 @@ from tfim_rfs import (
     susceptibility_slope,
     susceptibility_thermo,
 )
+from tfim_rfs.rfs import _susceptibility_finite_array
 from tfim_rfs.scaling import _brent_root, _r_squared
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
@@ -491,6 +493,8 @@ class TestDataCollapse:
         calls = []
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
                             lambda n, lam: calls.append((n, lam)) or susceptibility(n, lam))
+        monkeypatch.setattr(tfim_rfs.scaling, "_susceptibility_finite_array",
+                            lambda n, lams: calls.append((n, lams)) or _susceptibility_finite_array(n, lams))
         for collapse in (data_collapse, best_collapse_exponent):
             with pytest.raises(ValueError, match=message):
                 collapse(sizes, peaks=peaks)
@@ -569,15 +573,23 @@ class TestDataCollapse:
         assert len(calls) == 18
 
     def test_exponent_search_samples_once(self, collapse_peaks, monkeypatch):
+        # Every coupling evaluated, through susceptibility or the array pass:
+        # 41 per size, none twice.
         calls = []
 
         def counted(n, lam):
-            calls.append((n, lam))
+            calls.append((n, float(lam)))
             return susceptibility(n, lam)
 
+        def counted_array(n, lams):
+            calls.extend((n, lam) for lam in lams.tolist())
+            return _susceptibility_finite_array(n, lams)
+
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility", counted)
+        monkeypatch.setattr(tfim_rfs.scaling, "_susceptibility_finite_array", counted_array)
         best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
-        assert len(calls) == len(COLLAPSE_SIZES) * 41
+        assert len(calls) == len(set(calls)) == len(COLLAPSE_SIZES) * 41
+        assert sorted({n for n, _ in calls}) == list(COLLAPSE_SIZES)
 
     @pytest.mark.parametrize("nu", [0.5, 0.75, 1.5, 2.0])
     def test_rescaled_unit_sampling_is_exact(self, nu, collapse_peaks):
@@ -644,9 +656,14 @@ class TestMonotoneCubic:
             collapse_quality(CollapseCurve(samples=samples, nu=1.0))
 
     def test_overflowing_window_rejected(self):
-        # Finite w whose x = N^(nu-1) w overflows at every size: no grid.
-        w, y = np.array([-1e307, 1e307]), np.array([0.0, 1.0])
-        curve = CollapseCurve(samples={64: (w, y), 128: (w, y)}, nu=2.0)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=re.escape(
-                "collapse curves are not finite for N=[64, 128], nu=2.0")):
-            collapse_quality(curve)
+        # Finite w whose x = N^(nu-1) w overflows at every size: no grid.  The
+        # ValueError comes before any numpy warning (np.linspace over [-inf,
+        # inf], or np.diff of +-1e308), which this turns into an exception.
+        for big in (1e307, 1e308):
+            w, y = np.array([-big, big]), np.array([0.0, 1.0])
+            curve = CollapseCurve(samples={64: (w, y), 128: (w, y)}, nu=2.0)
+            with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(
+                    "collapse curves are not finite for N=[64, 128], nu=2.0: "
+                    "the window of x = N^(nu-1) w is [-inf, inf]")):
+                warnings.simplefilter("error")
+                collapse_quality(curve)
