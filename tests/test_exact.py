@@ -517,7 +517,7 @@ def summed(spec):
     _correlators_finite_cached.cache_clear()
     return correlators_finite(spec)
 window = 0.9996 + np.linspace(-10.0, 10.0, 41) / 4096
-def array_pass(spec):
+def array_pass(_spec):
     return _correlators_finite_array(4096, window)
 spec = ChainSpec(2 ** 18, 0.9996)
 rises = []
