@@ -32,9 +32,10 @@ doubles.  Tables and the records of ``correlators_finite`` are each kept for
 the 64 most recent sizes or specs: a verified sweep row asks for its own
 coupling six times.  ``_correlators_finite_array`` runs the same kernel on
 many couplings of one size at once, each a row of a couplings x modes block
-in the same work arrays, bitwise ``correlators_finite`` at each: the data
-collapse samples its 40 couplings per size this way.  Against a 40-digit
-reference, chi at lam = 1 is within about 1e-15 relative up to N = 32768.  For N <= 10 the tests also check every
+in the same work arrays (one coupling per block above N = 2^15), bitwise
+``correlators_finite`` at each: the data collapse samples its 40 couplings per
+size this way.  Against a 40-digit reference, chi at lam = 1 is within about
+1e-15 relative up to N = 32768.  For N <= 10 the tests also check every
 correlator and derivative against exact diagonalization of the spin
 Hamiltonian, which shares no step with the free-fermion solution.
 """
@@ -185,11 +186,8 @@ def _block_sums(s, lam, work, curvature):
     sin^2 phi = 4 s (1 - s) stays first: s (1 - s) / omega^3 can be subnormal
     (N = 12, lam = 1e102).
     """
-    if isinstance(lam, np.ndarray):
-        rows, modes = len(lam), len(s)
-        inv, buf, sin_sq_inv3 = (row[:rows * modes].reshape(rows, modes) for row in work)
-    else:
-        inv, buf, sin_sq_inv3 = (row[:len(s)] for row in work)
+    shape = np.shape(lam)[:1] + (len(s),)
+    inv, buf, sin_sq_inv3 = (row[:math.prod(shape)].reshape(shape) for row in work)
     gap = 1.0 - lam
     half_gap = 0.5 * gap
     # omega > 0: every table entry s >= sin^2(pi/2N), and |1 - lam| > 0 off lam = 1.
@@ -344,10 +342,14 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     scalar ones.  The rest may hold anything.  The Wick check needs no mask:
     zz is sz^2 - xx yy computed the same way.  The couplings go through
     ``_pairwise_sums`` as columns of as many couplings as fit, with a block of
-    modes each, in the first _BLOCK doubles of the thread's work arrays.  The
-    memo is neither read nor filled.  A bad n_sites raises ChainSpec's
-    ValueError.  Call it under ``np.errstate(all="ignore")``: masked elements
-    may overflow.
+    modes each, in the first _BLOCK doubles of the thread's work arrays; above
+    N = 2^15, where one coupling's modes fill more than half a block, each goes
+    as a float, as in the scalar path.  A column's sums are bitwise the scalar
+    ones because np.add.reduce along the last axis of C-contiguous rows sums
+    each row pairwise, as it sums a 1-d array; the tests check this on numpy
+    2.4, and the oldest-numpy CI job runs them on 1.24.  The memo is neither
+    read nor filled.  A bad n_sites raises ChainSpec's ValueError.  Call it
+    under ``np.errstate(all="ignore")``: masked elements may overflow.
     """
     n = ChainSpec(n_sites, 0.0).n_sites
     lam = lams + 0.0  # -0.0 + 0.0 is 0.0, as in ChainSpec
@@ -355,11 +357,14 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     ok = (lam >= 0.0) & np.isfinite((1.0 - lam) * (1.0 - lam))
     s = _half_angle_table(n)
     half = len(s)
-    # Couplings per pass: _pairwise_sums's blocks hold at most min(half, _BLOCK) modes.
+    # Couplings per pass: _pairwise_sums's blocks hold at most min(half, _BLOCK)
+    # modes.  A pass of one coupling takes it as a float, as the scalar path
+    # does: a (1, 1) column would only add broadcasting to the same sums.
     step = _BLOCK // min(half, _BLOCK)
-    column, work = lam[:, None], _work_rows()
-    parts = [_pairwise_sums(s, column[i:i + step], work, False) for i in range(0, len(lam), step)]
-    sz, xx, yy, d_xx, d_yy = (np.concatenate(totals) / half for totals in zip(*parts))
+    chunks = lam if step == 1 else [lam[i:i + step, None] for i in range(0, len(lam), step)]
+    work = _work_rows()
+    parts = [_pairwise_sums(s, chunk, work, False) for chunk in chunks]
+    sz, xx, yy, d_xx, d_yy = (np.hstack(totals) / half for totals in zip(*parts))
     xx *= 2.0
     yy *= 2.0
     fields = _finite_fields(lam, sz, xx, yy, d_xx, d_yy)

@@ -151,12 +151,14 @@ def test_array_pass_flags_exactly_the_scalar_failures():
     assert 0 < raised < len(lams)
 
 
-@pytest.mark.parametrize("n", [12, 64, 4096, 2 ** 16, 2 ** 17])
+@pytest.mark.parametrize("n", [12, 64, 4096, 2 ** 15, 2 ** 16, 2 ** 17])
 def test_finite_array_pass_is_bitwise_the_scalar_path(n):
     # The couplings of PLAIN_LAMS, a few that ChainSpec or the overflow check
     # rejects, and the 41 of the collapse window around the peak.  Up to N =
-    # 4096 one pass holds several couplings, each a row of a 2-d block; at
-    # 2^17 the modes split into two blocks, added along the pairwise tree.
+    # 2^15 one pass holds several couplings, each a row of a 2-d block; at
+    # 2^15 a row of 16384 modes is longer than numpy's default iterator
+    # buffer.  Above 2^15 each coupling goes alone, as a float; at 2^17 its
+    # modes split into two blocks, added along the pairwise tree.
     window = find_peak(n).lambda_m + np.linspace(-10.0, 10.0, 41) / n
     lams = np.concatenate([PLAIN_LAMS, [-0.0, -1e-300, math.nan, math.inf, 1e155], window])
     chi, ok = _susceptibility_finite_array(n, lams)
