@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -66,16 +65,26 @@ _QUALITY_GRID_POINTS = 101
 _NU_BOUNDS = (0.5, 2.0)
 _NU_TOL = 1e-3
 
+# The measured peak shift: sqrt(N^2 (1 - lam_m)) is 0.5746 ln N + 1.0677 by
+# least squares over N = 2^9..2^20, which holds N^2 (1 - lam_m) to 0.5 % from
+# N = 512 up.  find_peak brackets the peak at 1 % of the shift either side.
+_PEAK_SHIFT_SLOPE = 0.5746
+_PEAK_SHIFT_INTERCEPT = 1.0677
+_PEAK_SHIFT_MIN_SITES = 512
+_PEAK_SHIFT_WIDTH = 0.01
+
 
 class PeakSearchError(ValueError):
     """No maximum of chi: its slope does not fall from positive to negative
-    across 1 +- 2/N.  The message names N."""
+    across 1 +- 2/N, the bracket that find_peak tries last.  The message
+    names that bracket and N."""
 
 
 @dataclass(frozen=True)
 class PeakRecord:
     """The local maximum of chi(lam) at fixed chain size: the one sign change
-    of its slope in 1 +- 2/N."""
+    of its slope in 1 +- 2/N, found from N = 512 up inside the narrower
+    bracket of the measured peak shift."""
 
     n_sites: int
     lambda_m: float
@@ -174,22 +183,35 @@ def find_peak(n_sites: int) -> PeakRecord:
 
     With nu = 1 the peak lies in the critical window: 1 - lam_m is 4.9/N^2 at
     N = 4 and about 81/N^2 at N = 2^20.  So the peak is the root of dchi/dlam
-    (``susceptibility_slope``, in closed form) on [1 - 2/N, 1 + 2/N]: the
-    slope must be positive at the lower end and negative at the upper one, or
-    PeakSearchError is raised.  Brent's method narrows that sign change down
-    to adjacent doubles, and chi_m = ``susceptibility(n_sites, lam_m)``.
+    (``susceptibility_slope``, in closed form) where it falls from positive
+    to negative, and Brent's method narrows that sign change down to adjacent
+    doubles; chi_m = ``susceptibility(n_sites, lam_m)``.
+
+    From N = 512 up the search opens on 1 - c (1 +- 1 %) / N^2, with
+    c = (0.5746 ln N + 1.0677)^2 the measured peak shift, which holds
+    N^2 (1 - lam_m) to 0.5 % there.  Below N = 512, or where the slope does
+    not fall through zero across that bracket, it opens on [1 - 2/N, 1 + 2/N]
+    instead, and PeakSearchError is raised unless the slope falls through zero
+    across that one.  Brent's root does not depend on which bracket holds it,
+    so both give the same bits.
     """
     ChainSpec(n_sites, 1.0)  # rejects a bad N before 2/N is formed
 
     def slope(lam):
         return susceptibility_slope(n_sites, lam)
 
-    lo, hi = 1.0 - 2.0 / n_sites, 1.0 + 2.0 / n_sites
-    slope_lo, slope_hi = slope(lo), slope(hi)
-    if not slope_lo > 0.0 > slope_hi:
-        raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
-    lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
-    return PeakRecord(n_sites=n_sites, lambda_m=lam_m, chi_m=susceptibility(n_sites, lam_m))
+    brackets = [(1.0 - 2.0 / n_sites, 1.0 + 2.0 / n_sites)]
+    if n_sites >= _PEAK_SHIFT_MIN_SITES:
+        shift = ((_PEAK_SHIFT_SLOPE * math.log(n_sites) + _PEAK_SHIFT_INTERCEPT) / n_sites) ** 2
+        brackets.insert(0, (1.0 - (1.0 + _PEAK_SHIFT_WIDTH) * shift,
+                            1.0 - (1.0 - _PEAK_SHIFT_WIDTH) * shift))
+    for lo, hi in brackets:
+        slope_lo, slope_hi = slope(lo), slope(hi)
+        if slope_lo > 0.0 > slope_hi:
+            lam_m = float(_brent_root(slope, lo, hi, slope_lo, slope_hi))
+            return PeakRecord(n_sites=n_sites, lambda_m=lam_m,
+                              chi_m=susceptibility(n_sites, lam_m))
+    raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
 
 
 def _r_squared(y, residuals) -> float:
@@ -357,7 +379,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError before
-    sampling if the window reaches lam < 0, which it does at N <= 10.
+    sampling a size whose record in ``peaks`` is of another N, or whose
+    window reaches lam < 0, which it does at N <= 10.
 
     The 40 samples off the peak are evaluated in one pass over couplings x
     modes through the formulas of ``susceptibility``, so each is bitwise
@@ -374,6 +397,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     samples = {}
     for n in sizes:
         rec = peaks[n] if n in peaks else find_peak(n)
+        if rec.n_sites != n:
+            raise ValueError(f"peaks[{n}] is the peak record of N={rec.n_sites}, not of N={n}")
         low = rec.lambda_m + _COLLAPSE_WINDOW[0] / n
         if low < 0.0:
             raise ValueError(f"the collapse window at N={n} starts at lam = lam_m - 10/N = "
@@ -391,12 +416,17 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     return CollapseCurve(samples=samples, nu=float(nu))
 
 
-def _collapse_spread(samples, scales, nu) -> float:
-    """Collapse quality of 2 or more curves (size -> (w, y), sizes ascending)
-    whose x is scales[n] w, each interpolated linearly in w at x / scales[n].
-    No numpy step can overflow before its check: w is compared, not
-    differenced, and the window ends are checked finite before np.linspace."""
-    for w, y in samples.values():
+def _check_curves(curves) -> None:
+    """Raise ValueError for the first (w, y) pair that is not 1-d of one
+    length >= 2, finite, with w strictly increasing.  Curves of one common
+    length pass in one stacked check; only when that fails are they checked
+    one by one, so the message is the first bad curve's."""
+    if len({w.shape for w, _ in curves} | {y.shape for _, y in curves}) == 1:
+        stacked = np.array(curves)  # curves x (w, y) x points
+        if (stacked.ndim == 3 and stacked.shape[2] >= 2 and np.isfinite(stacked).all()
+                and (stacked[:, 0, 1:] > stacked[:, 0, :-1]).all()):
+            return
+    for w, y in curves:
         if w.ndim != 1 or w.shape != y.shape:
             raise ValueError(f"w and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
         if w.size < 2:
@@ -405,6 +435,16 @@ def _collapse_spread(samples, scales, nu) -> float:
             raise ValueError("w and y must be finite")
         if not np.all(w[1:] > w[:-1]):
             raise ValueError("w must be strictly increasing")
+
+
+def _collapse_spread(samples, scales, nu) -> float:
+    """Collapse quality of 2 or more curves (size -> (w, y), sizes ascending)
+    whose x is scales[n] w, each interpolated linearly in w at x / scales[n].
+    No numpy step can overflow before its check: w is compared, not
+    differenced, and the window ends are checked finite before np.linspace.
+    The pairwise spreads are summed over the pairs in the order of
+    itertools.combinations, row after row."""
+    _check_curves(list(samples.values()))
     lo = max(float(w[0]) * scales[n] for n, (w, _) in samples.items())
     hi = min(float(w[-1]) * scales[n] for n, (w, _) in samples.items())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -416,8 +456,9 @@ def _collapse_spread(samples, scales, nu) -> float:
     interpolated = np.array([np.interp(grid / scales[n], w, y) for n, (w, y) in samples.items()])
     if not np.all(np.isfinite(interpolated)):
         raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={nu!r}")
-    pairs = list(combinations(interpolated, 2))
-    mean_spread = float(np.mean(sum(np.abs(a - b) for a, b in pairs) / len(pairs)))
+    first, second = np.triu_indices(len(interpolated), 1)
+    spread = np.add.reduce(np.abs(interpolated[first] - interpolated[second]), axis=0)
+    mean_spread = float(np.mean(spread / len(first)))
     mean_curve = interpolated.mean(axis=0)
     swing = float(mean_curve.max() - mean_curve.min())
     if swing == 0.0:

@@ -5,6 +5,7 @@ import random
 import re
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import tfim_rfs.scaling
 from tfim_rfs import (
     LOG_SQUARED_AMPLITUDE,
+    ChainSpec,
     CollapseCurve,
     ConsistencyError,
     PeakRecord,
@@ -22,6 +24,7 @@ from tfim_rfs import (
     SingularBlockError,
     best_collapse_exponent,
     collapse_quality,
+    correlators_finite,
     data_collapse,
     find_peak,
     fit_finite_size,
@@ -38,6 +41,7 @@ COLLAPSE_SIZES = (512, 1024, 2048, 4096)
 SMALL_COLLAPSE_SIZES = (64, 128, 256)
 REFERENCE_TABLE = (Path(__file__).resolve().parents[1] / "perfbench" / "tables"
                    / "reference.json")
+LARGE_RING_TABLE = Path(__file__).resolve().parent / "data" / "large_ring_reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,24 @@ class TestFindPeak:
             assert abs(rec.lambda_m - lam_ref) <= 4.5e-16, entry["n_sites"]
             assert abs(rec.chi_m - chi_ref) <= 1e-14 * chi_ref, entry["n_sites"]
 
+    @pytest.mark.parametrize("n", [2 ** 19, 2 ** 20])
+    def test_matches_large_ring_reference(self, n):
+        # 25 digits of 40-digit mpmath sums (tests/data/make_large_ring_reference.py)
+        # at lam = 1, lam_m, 1 - 4/N and 1 + 1/N.  The measured errors are at
+        # most 7.9e-16 in chi and 3.9e-16 in the fields.  lam_m is stored as
+        # the peak search found it on 1 +- 2/N, so its hex pins the peak-shift
+        # bracket at the two largest sizes.
+        entries = json.loads(LARGE_RING_TABLE.read_text(encoding="utf-8"))["sizes"][str(n)]
+        couplings = {e["coupling"]: float.fromhex(e["lambda"]) for e in entries}
+        assert find_peak(n).lambda_m.hex() == couplings["lambda_m"].hex()
+        for entry in entries:
+            lam = float.fromhex(entry["lambda"])
+            fields = correlators_finite(ChainSpec(n, lam))
+            for name in ("chi", "sz", "xx", "yy", "d_sz", "d_xx", "d_yy"):
+                got = susceptibility(n, lam) if name == "chi" else getattr(fields, name)
+                ref = Decimal(entry[name])
+                assert abs(Decimal(got) - ref) <= Decimal("1e-15") * abs(ref), (lam, name)
+
     def test_resolves_large_rings(self):
         # 1 - lam_m shrinks about 13x per 4x in N; a search that stops at
         # sqrt(eps) returns one lam_m for both 2^18 and 2^20.
@@ -124,34 +146,41 @@ class TestFindPeak:
             assert 8.0 <= wide / narrow <= 20.0
 
     def test_derived_window_matches_default_bracket(self):
-        # The reference for 1 +- 2/N: Brent on the former default bracket
-        # (0.8, 1.1) finds bitwise the same root wherever that bracket holds
-        # the peak (N = 4 peaks at lam 0.694, outside it).  At N = 30 the
-        # slopes at the last two doubles tie in magnitude.
+        # The reference for the brackets of find_peak: Brent on 1 +- 2/N, and
+        # on the former default bracket (0.8, 1.1) wherever that holds the
+        # peak (N = 4 peaks at lam 0.694, outside it), finds bitwise the same
+        # root and chi.  At N = 30 the slopes at the last two doubles tie in
+        # magnitude.  From N = 512 up find_peak opens on the peak-shift
+        # bracket instead.
         mismatches = []
-        for n in [*range(4, 601, 2), *(2 ** k for k in range(10, 17))]:
-            lo, hi = 0.8, 1.1
-            slope_lo, slope_hi = susceptibility_slope(n, lo), susceptibility_slope(n, hi)
-            if not slope_lo > 0.0 > slope_hi:
-                continue
-            whole = _brent_root(lambda lam: susceptibility_slope(n, lam),
-                                lo, hi, slope_lo, slope_hi)
-            got = find_peak(n).lambda_m
-            if got != whole:
-                mismatches.append((n, got.hex(), whole.hex()))
+        for n in [*range(4, 601, 2), *(2 ** k for k in range(10, 21))]:
+            got = find_peak(n)
+            for lo, hi in ((1.0 - 2.0 / n, 1.0 + 2.0 / n), (0.8, 1.1)):
+                slope_lo, slope_hi = susceptibility_slope(n, lo), susceptibility_slope(n, hi)
+                if not slope_lo > 0.0 > slope_hi:
+                    continue
+                whole = _brent_root(lambda lam: susceptibility_slope(n, lam),
+                                    lo, hi, slope_lo, slope_hi)
+                if (got.lambda_m, got.chi_m) != (whole, susceptibility(n, whole)):
+                    mismatches.append((n, lo, got.lambda_m.hex(), whole.hex()))
         assert mismatches == []
 
-    @pytest.mark.parametrize("n", [30, 64, 250, 512, 4096, 2 ** 16])
+    @pytest.mark.parametrize("n", [30, 64, 250, 512, 4096, 2 ** 16, 2 ** 18, 2 ** 20])
     def test_bracket_does_not_change_peak(self, n):
         # Brent's root does not depend on the bracket that holds the peak,
-        # which is what lets find_peak search 1 +- 2/N.  At N = 30 the slopes
-        # at the last two doubles tie in magnitude; without the tie rule the
-        # brackets below disagree by one ulp.
+        # which is what lets find_peak search 1 +- 2/N, or from N = 512 up
+        # the 1 % bracket of the peak shift.  At N = 30 the slopes at the
+        # last two doubles tie in magnitude; without the tie rule the brackets
+        # below disagree by one ulp.
         def slope(lam):
             return susceptibility_slope(n, lam)
 
-        roots = {_brent_root(slope, lo, hi, slope(lo), slope(hi))
-                 for lo, hi in ((0.8, 1.1), (0.5, 1.5), (0.95, 1.02))}
+        brackets = [(0.8, 1.1), (0.5, 1.5), (0.95, 1.02), (1.0 - 2.0 / n, 1.0 + 2.0 / n)]
+        if n >= 512:
+            shift = ((0.5746 * math.log(n) + 1.0677) / n) ** 2
+            brackets += [(1.0 - 1.01 * shift, 1.0 - 0.99 * shift),
+                         (1.0 - 1.1 * shift, 1.0 - 0.9 * shift)]
+        roots = {_brent_root(slope, lo, hi, slope(lo), slope(hi)) for lo, hi in brackets}
         assert roots == {find_peak(n).lambda_m}
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -175,8 +204,10 @@ class TestFindPeak:
         assert _brent_root(fn, 0.0, 1.0, -0.5, 0.5) == 0.5
         assert probes == [0.5]
 
-    @pytest.mark.parametrize("k", range(9, 17))
+    @pytest.mark.parametrize("k", range(9, 21))
     def test_slope_evaluations_bounded(self, k, monkeypatch):
+        # Both ends of the peak-shift bracket included: 5 evaluations at
+        # N = 2^9..2^13 and 4 from 2^14 up (7-8 on 1 +- 2/N).
         calls = []
 
         def counted(n, lam):
@@ -185,7 +216,36 @@ class TestFindPeak:
 
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", counted)
         find_peak(2 ** k)
-        assert len(calls) <= 8
+        assert len(calls) <= (5 if k <= 13 else 4)
+
+    def test_no_maximum_in_either_bracket_raises_after_four_slopes(self, monkeypatch):
+        # A model slope whose root lies below both brackets: the peak-shift
+        # bracket fails its check, then 1 +- 2/N does, and the error names
+        # the second.  Four slopes, the ends of both brackets, and no chi.
+        slopes, chi_calls = [], []
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope",
+                            lambda n, lam: slopes.append(lam) or 0.9 - lam)
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility",
+                            lambda *args: chi_calls.append(args))
+        with pytest.raises(PeakSearchError, match=re.escape(
+                "no maximum of chi in [0.998046875, 1.001953125] for N=1024")):
+            find_peak(1024)
+        assert len(slopes) == 4 and chi_calls == []
+        assert slopes[2:] == [0.998046875, 1.001953125]
+
+    @pytest.mark.parametrize("root", [0.999, 1.0005])
+    def test_root_outside_shift_bracket_found_on_wide_bracket(self, root, monkeypatch):
+        # A model slope whose root lies in 1 +- 2/N but not in the 1 % bracket
+        # of the peak shift (1 - 2.2e-5 at N = 1024): find_peak falls back
+        # to 1 +- 2/N and returns the root Brent finds there alone.
+        def model(lam):
+            return root ** 3 - lam ** 3
+
+        monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", lambda n, lam: model(lam))
+        lo, hi = 1.0 - 2.0 / 1024, 1.0 + 2.0 / 1024
+        expected = _brent_root(model, lo, hi, model(lo), model(hi))
+        assert abs(expected - root) <= 1e-15
+        assert find_peak(1024).lambda_m == expected
 
 
 class TestFitFiniteSize:
@@ -446,6 +506,15 @@ class TestDataCollapse:
         with pytest.raises(ValueError, match="need at least one size"):
             data_collapse([])
 
+    def test_peak_record_of_another_size_rejected(self, collapse_peaks):
+        # The record under key 512 is the 1024-site peak: N = 512 would be
+        # sampled around it, and the exponent search returned 0.5003.
+        peaks = {512: collapse_peaks[1024], 1024: collapse_peaks[1024]}
+        message = re.escape("peaks[512] is the peak record of N=1024, not of N=512")
+        for collapse in (data_collapse, best_collapse_exponent):
+            with pytest.raises(ValueError, match=message):
+                collapse([512, 1024], peaks=peaks)
+
     @pytest.mark.parametrize("sizes", [SMALL_COLLAPSE_SIZES, COLLAPSE_SIZES])
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0])
     def test_quality_matches_plain_python(self, sizes, nu, collapse_peaks):
@@ -630,8 +699,62 @@ def _plain_collapse_quality(curve):
     return spread / (max(mean) - min(mean))
 
 
+def _combinations_quality(curve):
+    """collapse_quality with the pairwise spreads summed by Python's sum over
+    itertools.combinations, one numpy row at a time, as it was formed before
+    the rows were stacked."""
+    scales = {n: float(n) ** (curve.nu - 1.0) for n in sorted(curve.samples)}
+    lo = max(float(curve.samples[n][0][0]) * s for n, s in scales.items())
+    hi = min(float(curve.samples[n][0][-1]) * s for n, s in scales.items())
+    grid = np.linspace(lo, hi, 101)
+    rows = np.array([np.interp(grid / s, *curve.samples[n]) for n, s in scales.items()])
+    pairs = list(combinations(rows, 2))
+    spread = float(np.mean(sum(np.abs(a - b) for a, b in pairs) / len(pairs)))
+    mean = rows.mean(axis=0)
+    return spread / float(mean.max() - mean.min())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quality_sums_pairs_as_python_sum(seed):
+    # One axis-0 reduce of the stacked pair differences adds the rows in the
+    # order of the Python sum, so the quality keeps its bits: 2-8 random
+    # curves, of one length or of several.
+    rng = np.random.default_rng(seed)
+    for case in range(100):
+        sizes = sorted(rng.choice(np.arange(4, 5000, 2), int(rng.integers(2, 9)), replace=False))
+        length = int(rng.integers(2, 60))
+        samples = {}
+        for n in sizes:
+            m = length if case % 2 else int(rng.integers(2, 60))
+            w = np.sort(rng.uniform(-10.0, 10.0, m))
+            w[0], w[-1] = -10.0 - rng.random(), 10.0 + rng.random()
+            samples[int(n)] = (w, rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0))
+        curve = CollapseCurve(samples=samples, nu=float(rng.uniform(0.5, 2.0)))
+        assert collapse_quality(curve).hex() == _combinations_quality(curve).hex(), case
+
+
 class TestMonotoneCubic:
     """Input checks of the collapse interpolant, on hand-built curves."""
+
+    BAD_CURVES = {
+        "two_d": ((np.ones((2, 3)), np.ones((2, 3))),
+                  "w and y must be 1-d of one length, got shapes (2, 3) and (2, 3)"),
+        "short": (([0.0], [1.0]), "need at least 2 points to interpolate"),
+        "nan_w": (([0.0, math.nan, 1.0], [0.0, 1.0, 2.0]), "w and y must be finite"),
+        "inf_y": (([0.0, 0.5, 1.0], [0.0, math.inf, 2.0]), "w and y must be finite"),
+        "flat_w": (([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]), "w must be strictly increasing"),
+    }
+
+    @pytest.mark.parametrize("first", sorted(BAD_CURVES))
+    @pytest.mark.parametrize("second", sorted(BAD_CURVES))
+    def test_first_of_two_bad_curves_is_named(self, first, second):
+        # Curves of the good curve's length fail the stacked check first;
+        # the curve-by-curve check then names the smaller size's fault.
+        good = ([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
+        samples = {64: self.BAD_CURVES[first][0], 128: good, 256: self.BAD_CURVES[second][0]}
+        with pytest.raises(ValueError) as info:
+            collapse_quality(CollapseCurve(samples=samples, nu=1.0))
+        assert str(info.value) == self.BAD_CURVES[first][1]
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([0.0], [1.0], "at least 2 points"),
