@@ -442,8 +442,8 @@ def _collapse_spread(samples, scales, nu) -> float:
     whose x is scales[n] w, each interpolated linearly in w at x / scales[n].
     No numpy step can overflow before its check: w is compared, not
     differenced, and the window ends are checked finite before np.linspace.
-    The pairwise spreads are summed over the pairs in the order of
-    itertools.combinations, row after row."""
+    The pairwise spreads |row i - row j|, i < j, are summed row after row in
+    the order of itertools.combinations, so the sum is bitwise Python's."""
     _check_curves(list(samples.values()))
     lo = max(float(w[0]) * scales[n] for n, (w, _) in samples.items())
     hi = min(float(w[-1]) * scales[n] for n, (w, _) in samples.items())
@@ -456,9 +456,9 @@ def _collapse_spread(samples, scales, nu) -> float:
     interpolated = np.array([np.interp(grid / scales[n], w, y) for n, (w, y) in samples.items()])
     if not np.all(np.isfinite(interpolated)):
         raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={nu!r}")
-    first, second = np.triu_indices(len(interpolated), 1)
-    spread = np.add.reduce(np.abs(interpolated[first] - interpolated[second]), axis=0)
-    mean_spread = float(np.mean(spread / len(first)))
+    rows = np.arange(len(interpolated))
+    pairs = np.abs(interpolated[:, None] - interpolated)[rows[:, None] < rows]
+    mean_spread = float(np.mean(np.add.reduce(pairs, axis=0) / len(pairs)))
     mean_curve = interpolated.mean(axis=0)
     swing = float(mean_curve.max() - mean_curve.min())
     if swing == 0.0:
