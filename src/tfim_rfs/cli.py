@@ -131,8 +131,11 @@ def load_config_file(path: str) -> dict:
             value = value.strip()
             if key not in _OPTIONS:
                 raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = value
-    return {key: _OPTIONS[key][0](value) for key, value in values.items()}
+            try:
+                values[key] = _OPTIONS[key][0](value)
+            except ValueError as exc:  # includes UsageError
+                raise UsageError(f"{path}:{line_no}: {key} = {value}: {exc}") from None
+    return values
 
 
 @functools.cache  # built on first use, once per process: a build takes about 2 ms

@@ -5,9 +5,13 @@ E(k) = int_0^{pi/2} sqrt(1 - k^2 sin^2 t) dt (note: scipy.special uses the
 parameter m = k^2 instead).
 
 The AGM converges quadratically, so a handful of iterations reach full
-double precision without quadrature nodes.
+double precision without quadrature nodes.  Both integrals come from the
+same iteration, and it keeps its last run: ``elliptic_e(k)`` right after
+``elliptic_k(k)``, the pair that every thermodynamic coupling evaluates,
+runs the AGM once.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,12 +23,21 @@ __all__ = ["elliptic_k", "elliptic_e"]
 _AGM_RTOL = 1e-15
 
 
+# One entry: a thermodynamic coupling asks for K(k) and then E(k) of one k,
+# so the second call reuses the first one's run.  typed=True keeps a numpy
+# scalar k, whose E is a numpy scalar, apart from the float k of equal value.
+# A single AGM started from k' that returns K and E together, which would
+# also keep the digits of 1 - k that (1 - k)(1 + k) loses near k = 1, is to
+# replace this function, the cache and _elliptic_ke_array.
+@functools.lru_cache(maxsize=1, typed=True)
 def _agm(k: float) -> tuple[float, float]:
     """Run the AGM for (1, k') and return (agm limit, sum 2^(n-1) c_n^2).
 
     k' = sqrt(1 - k^2) is computed as sqrt((1-k)(1+k)) to avoid cancellation
     near k = 1.  The c_n = (a_n - b_n)/2 sequence (with c_0 = k) feeds the
-    second-kind integral.
+    second-kind integral.  Callers check the range first, so no NaN or
+    out-of-range k reaches the cache; 0.0 and -0.0 share an entry and both
+    give (1.0, 0.0).
     """
     sqrt = math.sqrt
     a = 1.0

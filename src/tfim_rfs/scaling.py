@@ -299,6 +299,7 @@ def fit_sq_log_model(x, y):
 def fit_thermo(lambdas) -> ScalingFit:
     """Fit the thermodynamic divergence chi(lam) = a (ln 1/|1-lam| + d1)^2 + d2.
 
+    ``lambdas`` is any iterable of couplings, each converted by ``float()``.
     All couplings must be finite and lie strictly on one side of the critical
     point; the fitted amplitude is compared against the finite-size one (they
     agree analytically, which is what fixes the collapse exponent at 1).
@@ -308,24 +309,26 @@ def fit_thermo(lambdas) -> ScalingFit:
     ``[susceptibility_thermo(l) for l in lambdas]``.  A coupling that any check
     of the scalar path flags goes through ``susceptibility_thermo`` itself, in
     window order, so a window raises the exception, with the message, of its
-    first coupling that the scalar path rejects.
+    first coupling that the scalar path rejects.  chi comes before x, so a
+    window that raises computes no logarithm.
     """
-    lambdas = [float(l) for l in lambdas]
-    for l in lambdas:
-        if not math.isfinite(l):
-            raise ValueError(f"couplings must be finite, got lam={l!r}")
-    if len(lambdas) < 4:
+    lam = np.fromiter(map(float, lambdas), dtype=float)
+    finite = np.isfinite(lam)
+    if not finite.all():
+        raise ValueError(f"couplings must be finite, got lam={float(lam[finite.argmin()])!r}")
+    if len(lam) < 4:
         raise ValueError("need at least 4 couplings")
-    if any(l == 1.0 for l in lambdas):
+    if (lam == 1.0).any():
         raise ValueError("couplings must differ from the critical value 1")
-    below = [l < 1.0 for l in lambdas]
-    if any(below) and not all(below):
+    below = lam < 1.0
+    if below.any() and not below.all():
         raise ValueError("couplings must not mix the lam < 1 and lam > 1 branches")
 
-    x = np.array([math.log(1.0 / abs(1.0 - l)) for l in lambdas])
-    y, ok = _susceptibility_thermo_array(np.array(lambdas))
+    y, ok = _susceptibility_thermo_array(lam)
     for i in np.flatnonzero(~ok):
-        y[i] = susceptibility_thermo(lambdas[i])
+        y[i] = susceptibility_thermo(float(lam[i]))
+    # math.log per element, not np.log, whose last bit may differ.
+    x = np.array([math.log(1.0 / abs(1.0 - l)) for l in lam.tolist()])
     a, d1, d2, r_sq = fit_sq_log_model(x, y)
     params = {
         "amplitude": a,

@@ -290,7 +290,14 @@ def test_collapse_below_twelve_sites_names_the_size(capsys):
     ("verify = off\n", [], 0, ""),
     ("", ["--sizes", "a,b"], 2, "cannot parse sizes 'a,b'; expected e.g. 512,1024"),
     ("", ["--nu", "nan"], 2, "nu must be finite, got nan"),
-], ids=["format_xml", "no_equals", "verify_maybe", "verify_off", "sizes_text", "nu_nan"])
+    # A value that fails to parse is named with its line, even where a flag
+    # would override it.
+    ("sizes = 12\nsteps = 1.5\n", [], 2,
+     "run.cfg:2: steps = 1.5: invalid literal for int() with base 10: '1.5'"),
+    ("lambda_min = abc\n", [], 2,
+     "run.cfg:1: lambda_min = abc: could not convert string to float: 'abc'"),
+], ids=["format_xml", "no_equals", "verify_maybe", "verify_off", "sizes_text", "nu_nan",
+        "steps_float", "lambda_text"])
 def test_config_and_flag_values_checked(config, flags, code, message, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(config)

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfim_rfs.elliptic
 import tfim_rfs.exact
 from tfim_rfs import (
     ChainSpec,
@@ -677,6 +679,27 @@ class TestThermoCorrelators:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             correlators_thermo(-0.2)
+
+    def test_one_agm_per_coupling(self):
+        # K(k) and E(k) share one run of the AGM loop.  The moduli differ
+        # from each coupling to the next, so no call can reuse the one before.
+        agm_code = inspect.unwrap(tfim_rfs.elliptic._agm).__code__
+        runs = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is agm_code:
+                runs.append(frame.f_locals["k"])
+
+        counts = []
+        for lam in (0.3, 0.9, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.2, 3.0, 0.3):
+            before, previous = len(runs), sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                correlators_thermo(lam)
+            finally:
+                sys.setprofile(previous)
+            counts.append(len(runs) - before)
+        assert counts == [1] * 8
 
     @pytest.mark.parametrize("lam", [1.0 - 2.0 ** -52, 1.0 - 1e-10, 1.0 + 1e-10, 1.0 + 1e-8])
     def test_modulus_rounding_to_one_names_the_coupling(self, lam):

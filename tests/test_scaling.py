@@ -332,6 +332,8 @@ class TestFitThermo:
         [0.9, 0.99, 0.999, math.nan],
         [2.0, 3.0, 4.0, math.inf],
         [0.5, 0.6, -math.inf, 0.7],
+        [0.5, math.nan, math.inf, 0.7],
+        [0.5, -math.inf, math.nan, 0.7],
     ])
     def test_non_finite_coupling_rejected(self, window):
         bad = next(l for l in window if not math.isfinite(l))
@@ -391,6 +393,20 @@ class TestFitThermoArrayPath:
         with pytest.raises(Exception) as info:
             fit_thermo(window)
         assert (type(info.value), str(info.value)) == (error, message)
+
+    @staticmethod
+    def bits(fit):
+        return fit.slope.hex(), fit.intercept.hex(), fit.r_squared.hex()
+
+    @pytest.mark.parametrize("convert", [list, tuple, np.array, lambda w: (l for l in w)],
+                             ids=["list", "tuple", "ndarray", "generator"])
+    def test_any_iterable_gives_the_pinned_bits(self, convert):
+        fit = fit_thermo(convert(FIT_WINDOWS["bench_below_1e-2"]()))
+        assert self.bits(fit) == self.PINS["bench_below_1e-2"]
+
+    @pytest.mark.parametrize("window", [[2, 3, 4, 5], np.array([2, 3, 5, 7, 11])])
+    def test_integer_couplings_fit_as_floats(self, window):
+        assert self.bits(fit_thermo(window)) == self.bits(fit_thermo([float(l) for l in window]))
 
     @staticmethod
     def count_scalar_calls(monkeypatch):
