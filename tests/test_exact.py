@@ -699,7 +699,7 @@ class TestThermoCorrelators:
             finally:
                 sys.setprofile(previous)
             counts.append(len(runs) - before)
-        assert counts == [1] * 8
+        assert counts == [1] * 8, runs
 
     @pytest.mark.parametrize("lam", [1.0 - 2.0 ** -52, 1.0 - 1e-10, 1.0 + 1e-10, 1.0 + 1e-8])
     def test_modulus_rounding_to_one_names_the_coupling(self, lam):
