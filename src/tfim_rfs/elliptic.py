@@ -24,21 +24,24 @@ _AGM_RTOL = 1e-15
 
 
 # One entry: a thermodynamic coupling asks for K(k) and then E(k) of one k,
-# so the second call reuses the first one's run.  typed=True keeps a numpy
-# scalar k, whose E is a numpy scalar, apart from the float k of equal value.
+# so the second call reuses the first one's run.  A numpy scalar or int k
+# shares the entry of the float of equal value; both give the same floats.
 # A single AGM started from k' that returns K and E together, which would
 # also keep the digits of 1 - k that (1 - k)(1 + k) loses near k = 1, is to
 # replace this function, the cache and _elliptic_ke_array.
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _agm(k: float) -> tuple[float, float]:
     """Run the AGM for (1, k') and return (agm limit, sum 2^(n-1) c_n^2).
 
     k' = sqrt(1 - k^2) is computed as sqrt((1-k)(1+k)) to avoid cancellation
     near k = 1.  The c_n = (a_n - b_n)/2 sequence (with c_0 = k) feeds the
-    second-kind integral.  Callers check the range first, so no NaN or
-    out-of-range k reaches the cache; 0.0 and -0.0 share an entry and both
-    give (1.0, 0.0).
+    second-kind integral.  k is converted with ``float()``, so every k runs
+    in double precision and both results are Python floats, whatever the type
+    of k (a float32 k would otherwise round each step to single precision).
+    Callers check the range first, so no NaN or out-of-range k reaches the
+    cache; 0.0 and -0.0 share an entry and both give (1.0, 0.0).
     """
+    k = float(k)
     sqrt = math.sqrt
     a = 1.0
     b = sqrt((1.0 - k) * (1.0 + k))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import CorrelatorSet
+from .exact import CorrelatorSet, _slot_init
 
 __all__ = ["ConsistencyError", "TwoSiteRdm", "build_rdm"]
 
@@ -36,6 +36,7 @@ class ConsistencyError(RuntimeError):
     """An internally computed quantity violated a structural invariant."""
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class TwoSiteRdm:
     """Block elements of the two-site RDM and their lam-derivatives.
@@ -45,7 +46,8 @@ class TwoSiteRdm:
     A positive matrix may still have a singular block (the product state at
     lam = 0); ``rfs_closed_form`` rejects it from the block determinants.
     The record is frozen, so the check holds for its lifetime; it is slotted,
-    hashable and picklable, and ``dataclasses.replace`` checks again.
+    hashable and picklable, and ``dataclasses.replace`` checks again.  One is
+    built per evaluated coupling, through ``_slot_init``'s slot stores.
     """
 
     u_plus: float

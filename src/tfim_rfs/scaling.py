@@ -54,6 +54,14 @@ LOG_SQUARED_AMPLITUDE = (27.0 * math.pi**4 - 144.0 * math.pi**2 - 1024.0) / (
     math.pi**2 * (9.0 * math.pi**2 + 32.0) * (3.0 * math.pi**2 - 32.0) + 4096.0
 )
 
+# The constants of the thermodynamic series chi ~ A (ln 1/|1-lam| + d1)^2 + d2,
+# the same on both branches.  No closed form is known; these are the
+# 30-digit values -0.508592187448356749616456415116 and
+# 0.0477563242115361271002786461545 of the quadratic in ln 1/|1-lam| through
+# 220-digit chi at |1-lam| = 1e-50, 1e-60 and 1e-70, which the tests rebuild.
+_THERMO_D1 = -0.50859218744835675
+_THERMO_D2 = 0.047756324211536127
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Fixed settings of the collapse: the window in w = N (lam - lam_m) and its
@@ -336,6 +344,8 @@ def fit_thermo(lambdas) -> ScalingFit:
         "d2": d2,
         "amplitude_ref": LOG_SQUARED_AMPLITUDE,
         "amplitude_rel_deviation": abs(a - LOG_SQUARED_AMPLITUDE) / LOG_SQUARED_AMPLITUDE,
+        "d1_ref": _THERMO_D1,
+        "d2_ref": _THERMO_D2,
     }
     return ScalingFit(slope=a, intercept=d2, r_squared=r_sq, params=params)
 

@@ -94,3 +94,26 @@ def test_against_mpmath_near_unit_modulus():
             ref_e = mpmath.ellipe(mpmath.mpf(k_next) ** 2)
             assert abs((big_k - ref_k) / ref_k) <= 1e-15, k
             assert abs((big_e - ref_e) / ref_e) <= 5e-15, k_next
+
+
+@pytest.mark.parametrize("k", [np.float32(0.7), np.float64(0.7), np.float32(0.999), np.float64(0.3),
+                               0, np.int64(0), np.float32(0.0)])
+def test_any_real_k_gives_the_float_of_float_k(k):
+    # Both integrals run in double precision on float(k) and return Python
+    # floats: a float32 k no longer rounds the AGM to single precision, and a
+    # numpy scalar k no longer makes E a numpy scalar.  K of another modulus
+    # first empties the one-entry cache, since k and float(k) share an entry.
+    elliptic_k(0.5)
+    big_e, big_k = elliptic_e(k), elliptic_k(k)
+    elliptic_k(0.5)
+    reference_e, reference_k = elliptic_e(float(k)), elliptic_k(float(k))
+    assert type(big_e) is float and type(big_k) is float
+    assert (big_k.hex(), big_e.hex()) == (reference_k.hex(), reference_e.hex())
+
+
+def test_float32_modulus_is_not_rounded_to_single_precision():
+    # float32(0.7) is 0.699999988079071; its K and E from mpmath at 30 digits.
+    # The AGM in single precision gave K 1.5e-8 off.
+    k = np.float32(0.7)
+    assert elliptic_k(k) == pytest.approx(1.8456939845385258, rel=1e-15)
+    assert elliptic_e(k) == pytest.approx(1.3556611439171653, rel=1e-15)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -10,6 +11,7 @@ from tfim_rfs import (
     ChainSpec,
     ConsistencyError,
     CorrelatorSet,
+    RfsValue,
     SingularBlockError,
     TwoSiteRdm,
     build_rdm,
@@ -189,3 +191,43 @@ class TestRecordContract:
     def test_replace_rechecks_positivity(self):
         with pytest.raises(ConsistencyError, match="RDM block 2 "):
             dataclasses.replace(_RHO, w=-0.3)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_signature_lists_the_fields(self, record):
+        # The constructor takes the fields in order, with their defaults, as
+        # the generated dataclass __init__ does.
+        parameters = inspect.signature(type(record)).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(record)]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_keyword_construction_equals_positional(self, record):
+        values = dataclasses.astuple(record)
+        by_keyword = type(record)(**dataclasses.asdict(record))
+        by_position = type(record)(*values)
+        assert by_keyword == by_position == record
+        assert dataclasses.astuple(by_keyword) == dataclasses.astuple(by_position) == values
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_missing_or_unknown_argument_rejected(self, record):
+        values = dataclasses.asdict(record)
+        with pytest.raises(TypeError):
+            type(record)()
+        with pytest.raises(TypeError):
+            type(record)(**values, unknown=0.0)
+        with pytest.raises(TypeError):
+            type(record)(*dataclasses.astuple(record), 0.0)
+        first = dataclasses.fields(record)[0].name
+        del values[first]
+        with pytest.raises(TypeError, match=first):
+            type(record)(**values)
+
+    def test_rfs_value_defaults(self):
+        assert RfsValue(1.5) == RfsValue(1.5, None, None, None)
+        assert RfsValue(1.5, discrepancy=0.25).discrepancy == 0.25
+
+    def test_replace_rechecks_magnitudes(self):
+        with pytest.raises(ValueError, match=re.escape("correlator magnitudes must be <= 1, got (2.0, ")):
+            dataclasses.replace(correlators_thermo(0.9), sz=2.0)

@@ -290,6 +290,27 @@ class TestFitThermo:
         fit = fit_thermo([1 - 10.0 ** (-k) for k in range(2, 6)])
         assert fit.params["amplitude_rel_deviation"] <= 0.05
 
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
+    def test_series_constants_match_mpmath(self, sign, reference):
+        # The quadratic A L^2 + B L + C in L = ln 1/|1-lam| through 220-digit
+        # chi of perfbench/reference.py at |1-lam| = 1e-50, 1e-60 and 1e-70
+        # gives d1 = B / (2A) and d2 = C - B^2 / (4A); the series' remainder,
+        # O(|1-lam| L^2), is below 1e-45 there.
+        mp, mpmath = reference.mp, reference.mpmath
+        with mp.workdps(220):
+            rows, chi = [], []
+            for exponent in (50, 60, 70):
+                gap = mpmath.mpf(10) ** -exponent
+                log_inverse = -mpmath.log(gap)
+                rows.append([log_inverse ** 2, log_inverse, 1])
+                chi.append(reference.chi_from_correlators(*reference.correlators_thermo(1 + sign * gap)))
+            a, b, c = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(chi))
+            d1, d2 = b / (2 * a), c - b * b / (4 * a)
+            assert abs(a / LOG_SQUARED_AMPLITUDE - 1) <= 1e-14
+        params = fit_thermo([1 + sign * 10.0 ** (-k) for k in range(2, 6)]).params
+        assert abs(params["d1_ref"] / float(d1) - 1) <= 1e-15
+        assert abs(params["d2_ref"] / float(d2) - 1) <= 1e-15
+
     def test_branches_agree(self):
         lo = fit_thermo([1 - 10.0 ** (-k) for k in range(2, 6)])
         hi = fit_thermo([1 + 10.0 ** (-k) for k in range(2, 6)])
