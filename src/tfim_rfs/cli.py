@@ -116,7 +116,7 @@ def load_config_file(path: str) -> dict:
     """Flat key = value file mirroring the flag names (underscored)."""
     values = {}
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")  # a leading BOM is not part of the first key
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     with handle:

@@ -138,15 +138,17 @@ class CorrelatorSet:
     """Magnetization and nearest-neighbour correlators with lam-derivatives.
 
     sz = <s^z>, xx = <sx_0 sx_1>, yy = <sy_0 sy_1>, zz = <sz_0 sz_1>, and
-    d_* are the first derivatives with respect to the coupling.  The zz
-    correlator satisfies zz = sz^2 - xx yy identically.  The record holds
+    d_* are the first derivatives with respect to the coupling.  The library
+    computes zz as sz^2 - xx yy (Wick's theorem for the free-fermion ground
+    state); the record checks only that the four magnitudes are at most 1,
+    and ``TwoSiteRdm`` that the state they give is positive.  The record holds
     values only, not the point they were evaluated at.  At the critical
     coupling in the thermodynamic limit the derivatives diverge and are
     reported as signed infinities, which ``derivatives_divergent`` reads.
 
     An immutable value (frozen, slotted, hashable, picklable): one is built
     per evaluated coupling, so ``_slot_init`` stores its fields through their
-    slots and its checks are written as plain comparisons.
+    slots and its check is written as plain comparisons.
     """
 
     sz: float
@@ -164,8 +166,6 @@ class CorrelatorSet:
         if not (abs(sz) <= _MAX_MAGNITUDE and abs(xx) <= _MAX_MAGNITUDE
                 and abs(yy) <= _MAX_MAGNITUDE and abs(zz) <= _MAX_MAGNITUDE):
             raise ValueError(f"correlator magnitudes must be <= 1, got {(sz, xx, yy, zz)}")
-        if abs(zz - (sz * sz - xx * yy)) > 1e-12:
-            raise ValueError("zz does not satisfy zz = sz^2 - xx*yy")
 
     @property
     def derivatives_divergent(self) -> bool:
@@ -375,8 +375,7 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     Returns (fields, ok): the 8 ``CorrelatorSet`` fields as arrays, and the
     mask of the couplings that pass the checks of ``ChainSpec``,
     ``_finite_sums`` and ``CorrelatorSet``, whose fields are bitwise the
-    scalar ones.  The rest may hold anything.  The Wick check needs no mask:
-    zz is sz^2 - xx yy computed the same way.  The couplings go through
+    scalar ones.  The rest may hold anything.  The couplings go through
     ``_pairwise_sums`` as columns of as many couplings as fit, with a block of
     modes each, in the first _BLOCK doubles of the thread's work arrays; above
     N = 2^15, where one coupling's modes fill more than half a block, each goes
@@ -507,10 +506,9 @@ def _correlators_thermo_array(lam: np.ndarray):
     mask of the couplings that pass the checks of ``correlators_thermo`` and
     ``CorrelatorSet``, whose fields are bitwise the scalar ones.  The rest
     may hold anything; lam = 0, a special case of the scalar path, is among
-    them.  The Wick check needs no mask: zz is sz^2 - xx yy computed the same
-    way, so the scalar check cannot fail either.  When some modulus rounds to
-    1, nothing is evaluated: fields is None and ok is all False.  Call it
-    under ``np.errstate(all="ignore")``: masked elements may overflow.
+    them.  When some modulus rounds to 1, nothing is evaluated: fields is None
+    and ok is all False.  Call it under ``np.errstate(all="ignore")``: masked
+    elements may overflow.
     """
     sqrt_lam = np.sqrt(lam)
     k = 2.0 * sqrt_lam / (1.0 + lam)

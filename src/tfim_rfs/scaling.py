@@ -49,10 +49,10 @@ __all__ = [
     "fit_thermo",
 ]
 
-# Amplitude of the squared-logarithm divergence of the peak susceptibility.
-LOG_SQUARED_AMPLITUDE = (27.0 * math.pi**4 - 144.0 * math.pi**2 - 1024.0) / (
-    math.pi**2 * (9.0 * math.pi**2 + 32.0) * (3.0 * math.pi**2 - 32.0) + 4096.0
-)
+# Amplitude of the squared-logarithm divergence of the peak susceptibility,
+# (27 pi^4 - 144 pi^2 - 1024) / (pi^2 (9 pi^2 + 32)(3 pi^2 - 32) + 4096),
+# correctly rounded: evaluated in doubles, the closed form comes out 13 ulp low.
+LOG_SQUARED_AMPLITUDE = 0.14851284040648255
 
 # The constants of the thermodynamic series chi ~ A (ln 1/|1-lam| + d1)^2 + d2,
 # the same on both branches.  No closed form is known; these are the

@@ -467,6 +467,15 @@ def test_load_config_file_parses_types(tmp_path):
                       "format": "json"}
 
 
+def test_load_config_file_skips_a_byte_order_mark(tmp_path, capsys):
+    # Editors that save UTF-8 with a BOM put U+FEFF before the first key.
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("\ufeffsizes = 64\n".encode("utf-8"))
+    assert load_config_file(str(config)) == {"sizes": (64,)}
+    assert run_cli(["peak", "--config", str(config)], capsys) == run_cli(
+        ["peak", "--sizes", "64"], capsys)
+
+
 def test_output_file_has_lf_endings(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run_cli(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import field, make_dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,11 +25,17 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
+    rfs_closed_form,
     susceptibility,
     susceptibility_slope,
     susceptibility_thermo,
 )
-from tfim_rfs.exact import _correlators_finite_array, _finite_curvature
+from tfim_rfs.exact import (
+    _correlators_finite_array,
+    _correlators_thermo_array,
+    _finite_curvature,
+    _slot_init,
+)
 
 FIELDS = ("sz", "xx", "yy", "zz")
 DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
@@ -278,10 +285,21 @@ class TestFiniteCorrelators:
     @pytest.mark.parametrize("lam", [0.2, 0.8, 1.0, 1.3, 2.5])
     @pytest.mark.parametrize("n", [64, 1024])
     def test_magnitudes_and_zz_identity(self, lam, n):
-        c = correlators_finite(ChainSpec(n, lam))
-        for name in FIELDS:
-            assert abs(getattr(c, name)) <= 1.0 + 1e-12
-        assert abs(c.zz - (c.sz * c.sz - c.xx * c.yy)) <= 1e-12
+        # zz is sz^2 - xx yy to the bit in every record the library builds,
+        # from the scalar and the array passes alike.
+        spec = ChainSpec(n, lam)
+        records = [correlators_finite(spec), _finite_curvature(spec)[0]]
+        passes = [_correlators_finite_array(n, np.array([lam]))]
+        if lam != 1.0:
+            records.append(correlators_thermo(lam))
+            passes.append(_correlators_thermo_array(np.array([lam])))
+        for fields, ok in passes:
+            assert ok[0]
+            records.append(CorrelatorSet(*(float(f[0]) for f in fields)))
+        for c in records:
+            for name in FIELDS:
+                assert abs(getattr(c, name)) <= 1.0 + 1e-12
+            assert c.zz == c.sz * c.sz - c.xx * c.yy
 
     @pytest.mark.parametrize("lam", [0.2, 0.8, 1.0, 1.3])
     @pytest.mark.parametrize("n", [64, 1024])
@@ -756,14 +774,31 @@ class TestLogDivergenceCoefficients:
         assert sums[-1].d_xx - sums[-1].d_yy == pytest.approx(4 / (3 * math.pi), abs=1e-6)
 
 
+@pytest.mark.parametrize("extra", [field(kw_only=True), field(default_factory=float),
+                                   field(default=0.0, init=False)],
+                         ids=["kw_only", "default_factory", "init_false"])
+def test_slot_init_rejects_fields_it_cannot_store(extra):
+    # The slot stores take plain positional fields only.
+    record = make_dataclass("Record", [("a", float), ("b", float, extra)], frozen=True, slots=True)
+    with pytest.raises(TypeError, match="_slot_init supports plain positional fields only: Record"):
+        _slot_init(record)
+
+
 class TestCorrelatorSetValidation:
     def test_magnitude_violation(self):
         with pytest.raises(ValueError):
             CorrelatorSet(1.5, 0.0, 0.0, 2.25, 0, 0, 0, 0)
 
-    def test_zz_identity_violation(self):
-        with pytest.raises(ValueError):
-            CorrelatorSet(0.5, 0.1, 0.1, 0.9, 0, 0, 0, 0)
+    def test_record_off_the_wick_identity_is_checked_by_positivity(self):
+        # zz = sz^2 - xx yy is how the library computes zz, not a condition on
+        # a valid state: a record off it is built, and the RDM's positivity
+        # check is what rejects an invalid one.
+        off_identity = CorrelatorSet(0.5, 0.1, 0.1, 0.3, 0, 0, 0, 0)
+        assert off_identity.zz != off_identity.sz ** 2 - off_identity.xx * off_identity.yy
+        assert rfs_closed_form(build_rdm(off_identity)).chi == 0.0
+        invalid = CorrelatorSet(0.5, 0.1, 0.1, 0.9, 0, 0, 0, 0)
+        with pytest.raises(ConsistencyError, match=r"RDM block 2 .* smallest eigenvalue -2\.500e-02"):
+            build_rdm(invalid)
 
     def test_unflagged_infinite_derivative(self):
         # Nothing flags a divergence: an infinite derivative is read off the

@@ -11,6 +11,7 @@ from tfim_rfs import (
     build_rdm,
     correlators_finite,
     correlators_thermo,
+    data_collapse,
     find_peak,
     rfs_closed_form,
     rfs_oracle,
@@ -19,6 +20,7 @@ from tfim_rfs import (
     susceptibility_thermo,
 )
 from tfim_rfs.rfs import (
+    _chi_finite_cached,
     _oracle_estimate,
     _susceptibility_finite_array,
     _susceptibility_thermo_array,
@@ -172,6 +174,24 @@ def test_finite_array_pass_is_bitwise_the_scalar_path(n):
         assert not flagged and value.hex() == expected.hex(), lam
         passed += 1
     assert passed >= 41
+
+
+class TestSusceptibilityMemo:
+    def test_bounded(self):
+        for k in range(200):
+            susceptibility(16, 0.5 + k * 1e-3)
+        info = _chi_finite_cached.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64
+
+    def test_collapse_reads_back_the_peak(self):
+        # find_peak writes chi at lam_m; the collapse's w = 0 sample of each
+        # size reads that entry back.
+        sizes = (64, 128, 256)
+        _chi_finite_cached.cache_clear()
+        peaks = {n: find_peak(n) for n in sizes}
+        hits = _chi_finite_cached.cache_info().hits
+        data_collapse(sizes, peaks=peaks)
+        assert _chi_finite_cached.cache_info().hits == hits + len(sizes)
 
 
 class TestUhlmannFidelity:

@@ -290,6 +290,16 @@ class TestFitThermo:
         fit = fit_thermo([1 - 10.0 ** (-k) for k in range(2, 6)])
         assert fit.params["amplitude_rel_deviation"] <= 0.05
 
+    def test_amplitude_is_the_correctly_rounded_closed_form(self):
+        # Evaluated in doubles, the closed form comes out 13 ulp low.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            pi2 = mpmath.pi ** 2
+            exact = (27 * pi2 ** 2 - 144 * pi2 - 1024) / (pi2 * (9 * pi2 + 32) * (3 * pi2 - 32) + 4096)
+            assert float(exact) == LOG_SQUARED_AMPLITUDE
+        assert LOG_SQUARED_AMPLITUDE.hex() == "0x1.30278004a7c06p-3"
+        assert math.sqrt(LOG_SQUARED_AMPLITUDE) == 0.3853736374046395
+
     @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
     def test_series_constants_match_mpmath(self, sign, reference):
         # The quadratic A L^2 + B L + C in L = ln 1/|1-lam| through 220-digit
@@ -827,3 +837,13 @@ class TestMonotoneCubic:
                     "the window of x = N^(nu-1) w is [-inf, inf]")):
                 warnings.simplefilter("error")
                 collapse_quality(curve)
+
+    def test_overflowing_interpolation_rejected(self):
+        # The window [0, 2] is finite, but interpolating between -1e308 and
+        # 1e308 overflows; the ValueError comes before any numpy warning.
+        w = np.array([0.0, 1.0, 2.0])
+        samples = {64: (w, np.array([-1e308, 1e308, 0.0])), 128: (w, np.zeros(3))}
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(
+                "collapse curves are not finite for N=[64, 128], nu=1.0")):
+            warnings.simplefilter("error")
+            collapse_quality(CollapseCurve(samples=samples, nu=1.0))
