@@ -5,10 +5,9 @@ E(k) = int_0^{pi/2} sqrt(1 - k^2 sin^2 t) dt (note: scipy.special uses the
 parameter m = k^2 instead).
 
 The AGM converges quadratically, so a handful of iterations reach full
-double precision without quadrature nodes.  Both integrals come from the
-same iteration, and it keeps its last run: ``elliptic_e(k)`` right after
-``elliptic_k(k)``, the pair that every thermodynamic coupling evaluates,
-runs the AGM once.
+double precision without quadrature nodes.  One run gives both integrals,
+and the last pair is kept, so the K and then E of a thermodynamic coupling
+run the AGM once.
 """
 
 import functools
@@ -24,22 +23,20 @@ _AGM_RTOL = 1e-15
 
 
 # One entry: a thermodynamic coupling asks for K(k) and then E(k) of one k,
-# so the second call reuses the first one's run.  A numpy scalar or int k
-# shares the entry of the float of equal value; both give the same floats.
-# A single AGM started from k' that returns K and E together, which would
-# also keep the digits of 1 - k that (1 - k)(1 + k) loses near k = 1, is to
-# replace this function, the cache and _elliptic_ke_array.
+# so the second call reads the pair that the first one's run cached.
 @functools.lru_cache(maxsize=1)
 def _agm(k: float) -> tuple[float, float]:
-    """Run the AGM for (1, k') and return (agm limit, sum 2^(n-1) c_n^2).
+    """(K(k), E(k)) from one AGM run for (1, k'), as ``_elliptic_ke_array``
+    returns them for arrays.
 
     k' = sqrt(1 - k^2) is computed as sqrt((1-k)(1+k)) to avoid cancellation
-    near k = 1.  The c_n = (a_n - b_n)/2 sequence (with c_0 = k) feeds the
-    second-kind integral.  k is converted with ``float()``, so every k runs
-    in double precision and both results are Python floats, whatever the type
-    of k (a float32 k would otherwise round each step to single precision).
-    Callers check the range first, so no NaN or out-of-range k reaches the
-    cache; 0.0 and -0.0 share an entry and both give (1.0, 0.0).
+    near k = 1, and E = K (1 - sum 2^(n-1) c_n^2) with c_n = (a_n - b_n)/2,
+    c_0 = k.  k is converted with ``float()``, so every k runs in double
+    precision and both results are Python floats, whatever the type of k (a
+    float32 k would otherwise round each step to single precision); a numpy
+    scalar or int k shares the entry of the float of equal value.  Callers
+    check the range first, so no NaN or out-of-range k reaches the cache;
+    0.0 and -0.0 share an entry and both give (pi/2, pi/2).
     """
     k = float(k)
     sqrt = math.sqrt
@@ -51,7 +48,8 @@ def _agm(k: float) -> tuple[float, float]:
         a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
         weight *= 2.0
         c_sum += 0.5 * weight * c * c
-    return a, c_sum
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (1.0 - c_sum)
 
 
 def _elliptic_ke_array(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +82,7 @@ def elliptic_k(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_k requires 0 <= k < 1, got k={k!r}")
-    a, _ = _agm(k)
-    return math.pi / (2.0 * a)
+    return _agm(k)[0]
 
 
 def elliptic_e(k: float) -> float:
@@ -97,5 +94,4 @@ def elliptic_e(k: float) -> float:
         raise ValueError(f"elliptic_e requires 0 <= k <= 1, got k={k!r}")
     if k == 1.0:
         return 1.0
-    a, c_sum = _agm(k)
-    return math.pi / (2.0 * a) * (1.0 - c_sum)
+    return _agm(k)[1]

@@ -333,6 +333,7 @@ def _work_rows():
     return work
 
 
+@lru_cache(maxsize=64)
 def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
     """Exact correlators of an N-site ring at coupling lam.
 
@@ -352,11 +353,6 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
     Memoized on the 64 most recently used specs: a repeated spec returns
     the frozen record of its first evaluation.
     """
-    return _correlators_finite_cached(spec)
-
-
-@lru_cache(maxsize=64)
-def _correlators_finite_cached(spec: ChainSpec) -> CorrelatorSet:
     return CorrelatorSet(*_finite_fields(spec.lam, *_finite_sums(spec, curvature=False)))
 
 

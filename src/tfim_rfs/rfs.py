@@ -224,7 +224,8 @@ def _chi_finite_cached(spec: ChainSpec) -> float:
 def susceptibility(n_sites: int, lam: float) -> float:
     """Closed-form susceptibility chi(N, lam), memoized on the 64 most recently
     used validated ChainSpecs: the peak search writes chi_m of each size, and
-    the data collapse reads it back at w = 0."""
+    the data collapse reads it back at w = 0.  With a raw (n_sites, lam) key,
+    N = 64.0 (== 64) would hit the entry of 64, not raise ChainSpec's error."""
     return _chi_finite_cached(ChainSpec(n_sites, lam))
 
 

@@ -222,6 +222,13 @@ def find_peak(n_sites: int) -> PeakRecord:
     raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
 
 
+def _checked_chi_m(rec: PeakRecord) -> float:
+    """The record's chi_m; ValueError, naming N, unless it is finite and >= 0."""
+    if not 0.0 <= rec.chi_m < math.inf:
+        raise ValueError(f"chi_m must be finite and >= 0, got {rec.chi_m!r} at N={rec.n_sites}")
+    return rec.chi_m
+
+
 def _r_squared(y, residuals) -> float:
     ss_res = float(np.sum(np.asarray(residuals) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -237,14 +244,15 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    fewer than two distinct sizes, or a slope of exactly 0 (c1 undetermined).
+    fewer than two distinct sizes, a chi_m not finite and >= 0, or a slope of
+    exactly 0 (c1 undetermined).
     """
     peaks = sorted(peaks, key=lambda p: p.n_sites)
     sizes = [p.n_sites for p in peaks]
     if len(set(sizes)) < 2:
         raise ValueError("need at least two distinct sizes for a line fit")
     x = np.log(sizes)
-    y = np.sqrt([p.chi_m for p in peaks])
+    y = np.sqrt([_checked_chi_m(p) for p in peaks])
     x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
     dx = x - x_mean
     slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
@@ -274,16 +282,18 @@ def fit_sq_log_model(x, y):
 
     Returns (a, d1, d2, r_squared).  Used with x = ln 1/|1 - lam| for the
     thermodynamic divergence; exposed separately so synthetic data can be
-    fitted directly.  Raises ValueError for fewer than 4 points, when x has
-    fewer than 3 distinct values, which leaves (a, d1, d2) undetermined, and
-    when the curvature is not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which
-    leaves d1 undetermined: on exactly linear data a is roundoff (~1e-16)
-    and d1 ~ 1/a, while real thermodynamic windows give at least 0.07.
+    fitted directly.  Raises ValueError for fewer than 4 points, an x or y
+    not finite, x with fewer than 3 distinct values, which leaves (a, d1, d2)
+    undetermined, and a curvature not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y),
+    which leaves d1 undetermined: on exactly linear data a is roundoff
+    (~1e-16) and d1 ~ 1/a, while real thermodynamic windows give at least 0.07.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 4:
         raise ValueError("need at least 4 points to fit (a, d1, d2)")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
     design = np.vander(x - x_mean, 3)
     deviations = y - y_mean
@@ -392,8 +402,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError before
-    sampling a size whose record in ``peaks`` is of another N, or whose
-    window reaches lam < 0, which it does at N <= 10.
+    sampling a size whose record in ``peaks`` is of another N or has a chi_m
+    not finite and >= 0, or whose window reaches lam < 0, as at N <= 10.
 
     The 40 samples off the peak are evaluated in one pass over couplings x
     modes through the formulas of ``susceptibility``, so each is bitwise
@@ -412,11 +422,11 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
         rec = peaks[n] if n in peaks else find_peak(n)
         if rec.n_sites != n:
             raise ValueError(f"peaks[{n}] is the peak record of N={rec.n_sites}, not of N={n}")
+        sqrt_peak = math.sqrt(_checked_chi_m(rec))
         low = rec.lambda_m + _COLLAPSE_WINDOW[0] / n
         if low < 0.0:
             raise ValueError(f"the collapse window at N={n} starts at lam = lam_m - 10/N = "
                              f"{low!r} < 0 (lam_m = {rec.lambda_m!r}); use N >= 12")
-        sqrt_peak = math.sqrt(rec.chi_m)
         lams = rec.lambda_m + offsets / n
         # The w = 0 sample is chi at lam_m itself: susceptibility's memo holds
         # it when find_peak made the record.

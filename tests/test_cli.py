@@ -103,7 +103,7 @@ def test_verified_row_sums_each_coupling_once(capsys, monkeypatch):
     for module in (tfim_rfs.cli, tfim_rfs.rfs):
         monkeypatch.setattr(module, "correlators_finite", counted_correlators)
     monkeypatch.setattr(tfim_rfs.exact, "_finite_sums", counted_sums)
-    tfim_rfs.exact._correlators_finite_cached.cache_clear()
+    correlators_finite.cache_clear()
     code, out, _ = run_cli(
         ["sweep", "--sizes", "1024", "--lambda-min", "0.9", "--lambda-max", "1.1",
          "--steps", "3", "--verify"], capsys)

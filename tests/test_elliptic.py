@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
-from scipy.integrate import quad
 
 from tfim_rfs import elliptic_e, elliptic_k
+from tfim_rfs.elliptic import _agm
 
 
 def quad_k(k):
+    quad = pytest.importorskip("scipy.integrate").quad
     val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
                   0.0, math.pi / 2.0, limit=200, epsabs=1e-13, epsrel=1e-13)
     return val
 
 
 def quad_e(k):
+    quad = pytest.importorskip("scipy.integrate").quad
     val, _ = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),
                   0.0, math.pi / 2.0, limit=200, epsabs=1e-13, epsrel=1e-13)
     return val
@@ -23,6 +24,29 @@ def quad_e(k):
 def test_defining_values_at_zero():
     assert elliptic_k(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
     assert elliptic_e(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
+
+
+# (k, K(k), E(k)) as hex; 1 - 2^-52 is the largest double below 1.
+AGM_PINS = [
+    (0.0, "0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    (-0.0, "0x1.921fb54442d18p+0", "0x1.921fb54442d18p+0"),
+    (0.5, "0x1.af8d55d323f79p+0", "0x1.77ab9a753a8f1p+0"),
+    (0.9, "0x1.23e908bf392ffp+1", "0x1.2bf4568a84411p+0"),
+    (1.0 - 2.0 ** -52, "0x1.30fc1931f09cap+4", "0x1.0000000000007p+0"),
+]
+
+
+@pytest.mark.parametrize("k,big_k,big_e", AGM_PINS, ids=[repr(k) for k, _, _ in AGM_PINS])
+def test_agm_returns_the_public_pair(k, big_k, big_e):
+    # The cached run holds (K, E) themselves, so elliptic_k and elliptic_e
+    # each return one member of it, whichever of them runs the AGM.
+    _agm.cache_clear()
+    pair = _agm(k)
+    _agm.cache_clear()
+    e_first = elliptic_e(k)
+    _agm.cache_clear()
+    assert pair == (elliptic_k(k), e_first)
+    assert (pair[0].hex(), pair[1].hex()) == (big_k, big_e)
 
 
 def test_e_at_unit_modulus():
@@ -49,10 +73,11 @@ def test_against_quadrature(k):
 
 def test_relative_accuracy_against_scipy():
     # scipy.special uses the parameter m = k^2
+    scipy_special = pytest.importorskip("scipy.special")
     for k in np.linspace(0.0, 0.999, 200):
         m = k * k
-        assert elliptic_k(k) == pytest.approx(float(scipy.special.ellipk(m)), rel=1e-12)
-        assert elliptic_e(k) == pytest.approx(float(scipy.special.ellipe(m)), rel=1e-12)
+        assert elliptic_k(k) == pytest.approx(float(scipy_special.ellipk(m)), rel=1e-12)
+        assert elliptic_e(k) == pytest.approx(float(scipy_special.ellipe(m)), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9])

@@ -258,7 +258,7 @@ class TestChainSpec:
         # gives each sign of zero its own bits unless lam is normalized.
         expected = _bits(_finite_curvature(ChainSpec(8, 0.0))[0])
         for order in ((0.0, -0.0), (-0.0, 0.0)):
-            tfim_rfs.exact._correlators_finite_cached.cache_clear()
+            correlators_finite.cache_clear()
             for lam in order:
                 assert _bits(correlators_finite(ChainSpec(8, lam))) == expected, order
         assert ChainSpec(8, -0.0).lam.hex() == "0x0.0p+0"
@@ -409,7 +409,7 @@ def _summing(fn):
     """``fn`` with the memo of correlators_finite cleared before each call, so
     that the kernel probes measure the momentum sums, not the memo."""
     def call(spec):
-        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        correlators_finite.cache_clear()
         return fn(spec)
     return call
 
@@ -531,10 +531,9 @@ class TestFiniteSumsInPlace:
 _FAULT_PROBE = """
 import json, resource
 import numpy as np
-from tfim_rfs.exact import (ChainSpec, _correlators_finite_array, _correlators_finite_cached,
-                            _finite_curvature, correlators_finite)
+from tfim_rfs.exact import ChainSpec, _correlators_finite_array, _finite_curvature, correlators_finite
 def summed(spec):
-    _correlators_finite_cached.cache_clear()
+    correlators_finite.cache_clear()
     return correlators_finite(spec)
 window = 0.9996 + np.linspace(-10.0, 10.0, 41) / 4096
 def array_pass(_spec):
@@ -568,16 +567,25 @@ def test_finite_sums_take_no_page_faults():
 class TestFiniteMemo:
     @pytest.mark.parametrize("n", [12, 2 ** 16])
     def test_hit_is_the_first_record(self, n):
-        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        correlators_finite.cache_clear()
         for lam in PLAIN_LAMS:
             first = correlators_finite(ChainSpec(n, lam))
             assert _bits(first) == _bits(_finite_curvature(ChainSpec(n, lam))[0]), lam
             assert correlators_finite(ChainSpec(n, lam)) is first
 
+    def test_repeated_spec_is_one_miss_then_a_hit(self):
+        # correlators_finite is the memo itself: no wrapper sits in between.
+        correlators_finite.cache_clear()
+        spec = ChainSpec(64, 0.75)
+        first = correlators_finite(spec)
+        assert correlators_finite.cache_info()[:2] == (0, 1)
+        assert correlators_finite(ChainSpec(64, 0.75)) is first
+        assert correlators_finite.cache_info()[:2] == (1, 1)
+
     def test_bounded(self):
         for k in range(200):
             correlators_finite(ChainSpec(12, 0.5 + k * 1e-3))
-        info = tfim_rfs.exact._correlators_finite_cached.cache_info()
+        info = correlators_finite.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
     def test_threads_get_the_serial_records(self):
@@ -585,7 +593,7 @@ class TestFiniteMemo:
         # that misses on one spec race each other.
         specs = [ChainSpec(2 ** 16, lam) for lam in (0.9996, 1.0, 1.5, 3.0)]
         expected = [_bits(_finite_curvature(spec)[0]) for spec in specs]
-        tfim_rfs.exact._correlators_finite_cached.cache_clear()
+        correlators_finite.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -183,6 +183,14 @@ class TestSusceptibilityMemo:
         info = _chi_finite_cached.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
+    def test_float_size_raises_after_its_integer_is_cached(self):
+        # 64.0 == 64 with one hash, so a memo keyed on (n_sites, lam) would
+        # answer the float N from the entry of N = 64.  The ChainSpec key
+        # raises first.
+        susceptibility(64, 1.0)
+        with pytest.raises(ValueError, match="n_sites must be an integer, got 64.0"):
+            susceptibility(64.0, 1.0)
+
     def test_collapse_reads_back_the_peak(self):
         # find_peak writes chi at lam_m; the collapse's w = 0 sample of each
         # size reads that entry back.

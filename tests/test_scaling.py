@@ -274,6 +274,16 @@ class TestFitFiniteSize:
         with pytest.raises(ValueError, match="slope is 0: c1"):
             fit_finite_size(peaks)
 
+    @pytest.mark.parametrize("chi_m", [math.nan, -1.0, math.inf])
+    def test_chi_m_not_finite_or_negative_rejected(self, chi_m):
+        # nan and -1.0 used to give a NaN slope, -1.0 and inf after a numpy warning.
+        peaks = [PeakRecord(512, 0.99, chi_m), PeakRecord(1024, 0.999, 2.0)]
+        message = re.escape(f"chi_m must be finite and >= 0, got {chi_m!r} at N=512")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit_finite_size(peaks)
+
     def test_r_squared_of_flat_data(self):
         flat = np.array([2.0, 2.0])
         assert _r_squared(flat, [0.0, 0.0]) == 1.0
@@ -344,6 +354,19 @@ class TestFitThermo:
     def test_underdetermined_rejected(self, x, y):
         with pytest.raises(ValueError, match="not determined"):
             fit_sq_log_model(x, y)
+
+    @pytest.mark.parametrize("x,y", [
+        ([1, 2, 3, 4, 5], [1, 2, math.nan, 4, 5]),
+        ([1, 2, 3, 4, 5], [1, 2, math.inf, 4, 5]),
+        ([1, 2, 3, math.inf, 5], [1, 2, 3, 4, 5]),
+        ([1, 2, -math.nan, 4, 5], [1, 2, 3, 4, 5]),
+    ])
+    def test_non_finite_data_rejected(self, x, y):
+        # A NaN used to give (nan, nan, nan, nan), and an inf in x a LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                fit_sq_log_model(x, y)
 
     def test_mixed_branches_rejected(self):
         with pytest.raises(ValueError):
@@ -558,6 +581,16 @@ class TestDataCollapse:
         # sampled around it, and the exponent search returned 0.5003.
         peaks = {512: collapse_peaks[1024], 1024: collapse_peaks[1024]}
         message = re.escape("peaks[512] is the peak record of N=1024, not of N=512")
+        for collapse in (data_collapse, best_collapse_exponent):
+            with pytest.raises(ValueError, match=message):
+                collapse([512, 1024], peaks=peaks)
+
+    @pytest.mark.parametrize("chi_m", [-1.0, math.nan, math.inf])
+    def test_peak_record_with_bad_chi_m_rejected(self, chi_m, collapse_peaks):
+        # -1.0 used to raise a bare "math domain error", and nan to give a
+        # curve of NaN that failed only later, in the exponent search.
+        peaks = {**collapse_peaks, 1024: replace(collapse_peaks[1024], chi_m=chi_m)}
+        message = re.escape(f"chi_m must be finite and >= 0, got {chi_m!r} at N=1024")
         for collapse in (data_collapse, best_collapse_exponent):
             with pytest.raises(ValueError, match=message):
                 collapse([512, 1024], peaks=peaks)
