@@ -205,7 +205,7 @@ def _half_angle_table(n_sites: int) -> np.ndarray:
 def _block_sums(s, lam, work, curvature):
     """Unnormalized momentum sums over one block ``s`` of the half-angle table.
 
-    Returns the sums of the sz, xx/2, yy/2, d_xx and d_yy summands, then, with
+    Returns the sums of the sz, xx, yy, d_xx and d_yy summands, then, with
     ``curvature``, of the d2_xx and d2_yy summands.  ``lam`` is a float, or a
     (k, 1) column of k couplings: then each summand is k rows of len(s) modes,
     in the first k len(s) doubles of a work array, and each sum an array of k.
@@ -218,7 +218,7 @@ def _block_sums(s, lam, work, curvature):
     product rounded once.  xx and yy also drop the 2
     before their last product, which is never subnormal (a nonzero s - gap/2
     or s t - gap/2 is above about 1e-50 for any N that fits in memory, and
-    1/omega above 1e-155), so the caller doubles their sums.  The 4 of
+    1/omega above 1e-155), and double their sums.  The 4 of
     sin^2 phi = 4 s (1 - s) stays first: s (1 - s) / omega^3 can be subnormal
     (N = 12, lam = 1e102).
     """
@@ -248,12 +248,12 @@ def _block_sums(s, lam, work, curvature):
     buf *= s
     buf -= half_gap
     buf *= inv
-    yy = np.add.reduce(buf, -1)
+    yy = 2.0 * np.add.reduce(buf, -1)
 
     # xx / 2: (s - gap/2) inv.
     np.subtract(s, half_gap, out=buf)
     buf *= inv
-    xx = np.add.reduce(buf, -1)
+    xx = 2.0 * np.add.reduce(buf, -1)
 
     # sz: (gap + (2 lam) s) inv.
     np.multiply(s, 2.0 * lam, out=buf)
@@ -309,7 +309,7 @@ def _pairwise_sums(s, lam, work, curvature):
 
 
 def _finite_sums(spec: ChainSpec, curvature: bool):
-    """The means of ``_block_sums`` over all N/2 modes, xx and yy doubled.
+    """The means of ``_block_sums`` over all N/2 modes.
 
     Raises ValueError, naming N and lam, when (1 - lam)^2 overflows (lam above
     about 1.34e154, where omega would be infinite and every correlator 0).
@@ -319,10 +319,7 @@ def _finite_sums(spec: ChainSpec, curvature: bool):
         raise ValueError(f"(1 - lam)^2 overflows in floating point at N={n}, lam={lam}")
     s = _half_angle_table(n)
     half = len(s)
-    sums = [float(total) / half for total in _pairwise_sums(s, lam, _work_rows(), curvature)]
-    sums[1] *= 2.0  # xx
-    sums[2] *= 2.0  # yy
-    return sums
+    return [float(total) / half for total in _pairwise_sums(s, lam, _work_rows(), curvature)]
 
 
 def _work_rows():
@@ -396,8 +393,6 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     work = _work_rows()
     parts = [_pairwise_sums(s, chunk, work, False) for chunk in chunks]
     sz, xx, yy, d_xx, d_yy = (np.hstack(totals) / half for totals in zip(*parts))
-    xx *= 2.0
-    yy *= 2.0
     fields = _finite_fields(lam, sz, xx, yy, d_xx, d_yy)
     for value in fields[:4]:
         ok &= abs(value) <= _MAX_MAGNITUDE

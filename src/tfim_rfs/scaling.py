@@ -55,10 +55,13 @@ __all__ = [
 LOG_SQUARED_AMPLITUDE = 0.14851284040648255
 
 # The constants of the thermodynamic series chi ~ A (ln 1/|1-lam| + d1)^2 + d2,
-# the same on both branches.  No closed form is known; these are the
-# 30-digit values -0.508592187448356749616456415116 and
-# 0.0477563242115361271002786461545 of the quadratic in ln 1/|1-lam| through
-# 220-digit chi at |1-lam| = 1e-50, 1e-60 and 1e-70, which the tests rebuild.
+# the same on both branches, correctly rounded:
+#     d1 = ln 8 + (63 pi^4 - 288 pi^2 - 2816) / (1024 + 144 pi^2 - 27 pi^4)
+#        = -0.508592187448356749616456415116...
+#     d2 = (9 pi^2 - 80) / (27 pi^4 - 144 pi^2 - 1024)
+#        = 0.0477563242115361271002786461545...
+# The tests also rebuild both from the quadratic in ln 1/|1-lam| through
+# 220-digit chi at |1-lam| = 1e-50, 1e-60 and 1e-70.
 _THERMO_D1 = -0.50859218744835675
 _THERMO_D2 = 0.047756324211536127
 
@@ -244,11 +247,12 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    fewer than two distinct sizes, a chi_m not finite and >= 0, or a slope of
-    exactly 0 (c1 undetermined).
+    an n_sites that ChainSpec rejects (not an even integer >= 4), fewer than
+    two distinct sizes, a chi_m not finite and >= 0, or a slope of exactly 0
+    (c1 undetermined).
     """
     peaks = sorted(peaks, key=lambda p: p.n_sites)
-    sizes = [p.n_sites for p in peaks]
+    sizes = [ChainSpec(p.n_sites, 0.0).n_sites for p in peaks]
     if len(set(sizes)) < 2:
         raise ValueError("need at least two distinct sizes for a line fit")
     x = np.log(sizes)
@@ -282,14 +286,17 @@ def fit_sq_log_model(x, y):
 
     Returns (a, d1, d2, r_squared).  Used with x = ln 1/|1 - lam| for the
     thermodynamic divergence; exposed separately so synthetic data can be
-    fitted directly.  Raises ValueError for fewer than 4 points, an x or y
-    not finite, x with fewer than 3 distinct values, which leaves (a, d1, d2)
-    undetermined, and a curvature not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y),
-    which leaves d1 undetermined: on exactly linear data a is roundoff
-    (~1e-16) and d1 ~ 1/a, while real thermodynamic windows give at least 0.07.
+    fitted directly.  Raises ValueError for x and y not 1-d of one length,
+    fewer than 4 points, an x or y not finite, x with fewer than 3 distinct
+    values, which leaves (a, d1, d2) undetermined, and a curvature not
+    resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which leaves d1 undetermined: on
+    exactly linear data a is roundoff (~1e-16) and d1 ~ 1/a, while real
+    thermodynamic windows give at least 0.07.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-d of one length, got shapes {x.shape} and {y.shape}")
     if x.size < 4:
         raise ValueError("need at least 4 points to fit (a, d1, d2)")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

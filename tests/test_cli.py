@@ -88,7 +88,8 @@ def test_verify_adds_oracle_columns(capsys):
 def test_verified_row_sums_each_coupling_once(capsys, monkeypatch):
     # Each verified row asks for correlators_finite 10 times at 5 couplings:
     # its own (6 times: the row, the 4 oracle steps and the oracle's closed
-    # form) and lam +- delta, lam +- delta/2.  The memo sums each one once.
+    # form) and lam +- delta, lam +- delta/2.  The memo sums each one once,
+    # and a repeated sweep prints the same bytes from its hits alone.
     calls, sums = [], []
     correlators_finite, finite_sums = tfim_rfs.exact.correlators_finite, tfim_rfs.exact._finite_sums
 
@@ -104,12 +105,14 @@ def test_verified_row_sums_each_coupling_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "correlators_finite", counted_correlators)
     monkeypatch.setattr(tfim_rfs.exact, "_finite_sums", counted_sums)
     correlators_finite.cache_clear()
-    code, out, _ = run_cli(
-        ["sweep", "--sizes", "1024", "--lambda-min", "0.9", "--lambda-max", "1.1",
-         "--steps", "3", "--verify"], capsys)
+    argv = ["sweep", "--sizes", "1024", "--lambda-min", "0.9", "--lambda-max", "1.1",
+            "--steps", "3", "--verify"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0 and len(parse_csv(out)[0]) == 3
     assert len(calls) == 30 and len(set(calls)) == 15
     assert len(sums) == 15 and set(sums) == set(calls)
+    assert run_cli(argv, capsys) == (code, out, err)
+    assert len(sums) == 15
 
 
 def test_rfs_reports_block_contributions(capsys):

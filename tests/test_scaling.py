@@ -35,7 +35,7 @@ from tfim_rfs import (
     susceptibility_thermo,
 )
 from tfim_rfs.rfs import _susceptibility_finite_array
-from tfim_rfs.scaling import _brent_root, _r_squared
+from tfim_rfs.scaling import _THERMO_D1, _THERMO_D2, _brent_root, _r_squared
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
 SMALL_COLLAPSE_SIZES = (64, 128, 256)
@@ -284,6 +284,21 @@ class TestFitFiniteSize:
             with pytest.raises(ValueError, match=message):
                 fit_finite_size(peaks)
 
+    @pytest.mark.parametrize("n_sites,message", [
+        (0, "n_sites must be even and >= 4, got 0"),
+        (-64, "n_sites must be even and >= 4, got -64"),
+        (63, "n_sites must be even and >= 4, got 63"),
+        (1.5, "n_sites must be an integer, got 1.5"),
+    ], ids=["0", "-64", "63", "1.5"])
+    def test_n_sites_not_a_chain_rejected(self, n_sites, message):
+        # 0 and -64 used to give an all-NaN fit after a numpy warning, and 63
+        # and 1.5 were fitted silently.
+        peaks = [PeakRecord(n_sites, 0.9, 1.0), PeakRecord(1024, 0.999, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit_finite_size(peaks)
+
     def test_r_squared_of_flat_data(self):
         flat = np.array([2.0, 2.0])
         assert _r_squared(flat, [0.0, 0.0]) == 1.0
@@ -300,14 +315,23 @@ class TestFitThermo:
         fit = fit_thermo([1 - 10.0 ** (-k) for k in range(2, 6)])
         assert fit.params["amplitude_rel_deviation"] <= 0.05
 
-    def test_amplitude_is_the_correctly_rounded_closed_form(self):
-        # Evaluated in doubles, the closed form comes out 13 ulp low.
+    @pytest.mark.parametrize("name,value,bits", [
+        ("A", LOG_SQUARED_AMPLITUDE, "0x1.30278004a7c06p-3"),
+        ("d1", _THERMO_D1, "-0x1.046631f82effap-1"),
+        ("d2", _THERMO_D2, "0x1.873845554d956p-5"),
+    ], ids=["A", "d1", "d2"])
+    def test_amplitude_is_the_correctly_rounded_closed_form(self, name, value, bits):
+        # Evaluated in doubles, the closed form of A comes out 13 ulp low.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             pi2 = mpmath.pi ** 2
-            exact = (27 * pi2 ** 2 - 144 * pi2 - 1024) / (pi2 * (9 * pi2 + 32) * (3 * pi2 - 32) + 4096)
-            assert float(exact) == LOG_SQUARED_AMPLITUDE
-        assert LOG_SQUARED_AMPLITUDE.hex() == "0x1.30278004a7c06p-3"
+            exact = {
+                "A": (27 * pi2 ** 2 - 144 * pi2 - 1024) / (pi2 * (9 * pi2 + 32) * (3 * pi2 - 32) + 4096),
+                "d1": mpmath.log(8) + (63 * pi2 ** 2 - 288 * pi2 - 2816) / (1024 + 144 * pi2 - 27 * pi2 ** 2),
+                "d2": (9 * pi2 - 80) / (27 * pi2 ** 2 - 144 * pi2 - 1024),
+            }[name]
+            assert float(exact) == value
+        assert value.hex() == bits
         assert math.sqrt(LOG_SQUARED_AMPLITUDE) == 0.3853736374046395
 
     @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
@@ -367,6 +391,17 @@ class TestFitThermo:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="x and y must be finite"):
                 fit_sq_log_model(x, y)
+
+    @pytest.mark.parametrize("x,y,shapes", [
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4], "(5,) and (4,)"),
+        ([[1, 2], [3, 4]], [1, 2, 3, 4], "(2, 2) and (4,)"),
+    ], ids=["lengths", "2-d"])
+    def test_shapes_rejected(self, x, y, shapes):
+        # Unequal lengths used to raise numpy's LinAlgError "Incompatible
+        # dimensions", and a 2-d x numpy's "x must be a one-dimensional array".
+        message = f"x and y must be 1-d of one length, got shapes {shapes}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_sq_log_model(x, y)
 
     def test_mixed_branches_rejected(self):
         with pytest.raises(ValueError):
@@ -679,6 +714,15 @@ class TestDataCollapse:
         assert nu.hex() == "0x1.fecc89f7c8813p-1"
         nu = best_collapse_exponent(SMALL_COLLAPSE_SIZES)
         assert nu.hex() == "0x1.0a21ec5d46a26p+0"
+
+    def test_samples_are_the_scalar_loop(self):
+        # Every sample, w = 0 and the array pass's alike, is bitwise the
+        # scalar sqrt(chi_m) - sqrt(susceptibility(n, lam_m + w / n)).
+        for n, (w, y) in data_collapse(SMALL_COLLAPSE_SIZES).samples.items():
+            p = find_peak(n)
+            expected = [math.sqrt(p.chi_m) - math.sqrt(susceptibility(n, p.lambda_m + v / n))
+                        for v in w.tolist()]
+            assert y.tolist() == expected, n
 
     @pytest.mark.parametrize("sizes", [COLLAPSE_SIZES, SMALL_COLLAPSE_SIZES])
     def test_search_trials_agree_with_collapse_quality(self, sizes, collapse_peaks, monkeypatch):
