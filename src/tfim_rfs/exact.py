@@ -370,14 +370,13 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     ``_finite_sums`` and ``CorrelatorSet``, whose fields are bitwise the
     scalar ones.  The rest may hold anything.  The couplings go through
     ``_pairwise_sums`` as columns of as many couplings as fit, with a block of
-    modes each, in the first _BLOCK doubles of the thread's work arrays; above
-    N = 2^15, where one coupling's modes fill more than half a block, each goes
-    as a float, as in the scalar path.  A column's sums are bitwise the scalar
-    ones because np.add.reduce along the last axis of C-contiguous rows sums
-    each row pairwise, as it sums a 1-d array; the tests check this on numpy
-    2.4, and the oldest-numpy CI job runs them on 1.24.  The memo is neither
-    read nor filled.  A bad n_sites raises ChainSpec's ValueError.  Call it
-    under ``np.errstate(all="ignore")``: masked elements may overflow.
+    modes each, in the first _BLOCK doubles of the thread's work arrays.  A
+    column's sums are bitwise the scalar ones because np.add.reduce along the
+    last axis of C-contiguous rows sums each row pairwise, as it sums a 1-d
+    array; the tests check this on numpy 2.4, and the oldest-numpy CI job
+    runs them on 1.24.  The memo is neither read nor filled.  A bad n_sites
+    raises ChainSpec's ValueError.  Call it under
+    ``np.errstate(all="ignore")``: masked elements may overflow.
     """
     n = ChainSpec(n_sites, 0.0).n_sites
     lam = lams + 0.0  # -0.0 + 0.0 is 0.0, as in ChainSpec
@@ -385,11 +384,9 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     ok = (lam >= 0.0) & np.isfinite((1.0 - lam) * (1.0 - lam))
     s = _half_angle_table(n)
     half = len(s)
-    # Couplings per pass: _pairwise_sums's blocks hold at most min(half, _BLOCK)
-    # modes.  A pass of one coupling takes it as a float, as the scalar path
-    # does: a (1, 1) column would only add broadcasting to the same sums.
+    # Couplings per pass: _pairwise_sums's blocks hold at most min(half, _BLOCK) modes.
     step = _BLOCK // min(half, _BLOCK)
-    chunks = lam if step == 1 else [lam[i:i + step, None] for i in range(0, len(lam), step)]
+    chunks = [lam[i:i + step, None] for i in range(0, len(lam), step)]
     work = _work_rows()
     parts = [_pairwise_sums(s, chunk, work, False) for chunk in chunks]
     sz, xx, yy, d_xx, d_yy = (np.hstack(totals) / half for totals in zip(*parts))
