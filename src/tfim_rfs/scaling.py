@@ -21,7 +21,7 @@ x / N^(nu-1), so a trial exponent rescales the curves without resampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -292,12 +292,12 @@ def fit_sq_log_model(x, y):
     Returns (a, d1, d2, r_squared).  Used with x = ln 1/|1 - lam| for the
     thermodynamic divergence; exposed separately so synthetic data can be
     fitted directly.  Raises ValueError for x and y not 1-d of one length,
-    fewer than 4 points, an x or y not finite, x with fewer than 3 distinct
-    values, which leaves (a, d1, d2) undetermined, and a curvature not
-    resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which leaves d1 undetermined: on
-    exactly linear data a is roundoff (~1e-16) and d1 ~ 1/a, while real
-    thermodynamic windows give at least 0.07; and for an a or d1 beyond the
-    range of a double.
+    fewer than 4 points, an x or y not finite, x or x - mean(x) with fewer
+    than 3 distinct values, which leaves (a, d1, d2) undetermined, and a
+    curvature not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which leaves d1
+    undetermined: on exactly linear data a is roundoff (~1e-16) and
+    d1 ~ 1/a, while real thermodynamic windows give at least 0.07; and for
+    an a or d1 beyond the range of a double.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -326,8 +326,14 @@ def fit_sq_log_model(x, y):
     q = tt - g * t - h
     b = np.sum(t * r) / t_norm
     r = r - b * t
-    a = float(np.sum(q * r) / np.sum(q * q))
-    # A NaN a, where q rounds to 0 everywhere, fails this test too.
+    q_norm = np.sum(q * q)
+    # Where x - mean(x) rounds to 2 distinct values, q can round to 0
+    # everywhere, and Σ q r / Σ q q would be 0/0; where q is roundoff but
+    # not 0, the curvature test below rejects a.
+    if q_norm == 0.0:
+        raise ValueError("x - mean(x) does not resolve 3 distinct values: "
+                         "the three parameters (a, d1, d2) are not determined")
+    a = float(np.sum(q * r) / q_norm)
     if not abs(a) * math.ldexp(float(np.ptp(x)), -e) ** 2 > 1e-8 * float(np.ptp(y)):
         raise ValueError(
             f"the fitted curvature a = {math.ldexp(a, -2 * e)!r} is not resolved "
@@ -389,6 +395,15 @@ def fit_thermo(lambdas) -> ScalingFit:
     return ScalingFit(slope=a, intercept=d2, r_squared=r_sq, params=params)
 
 
+def _size_factor(n: int, nu: float) -> float:
+    """N^(nu-1) of a size already read through ChainSpec; ValueError, naming
+    N and nu, if it overflows."""
+    try:
+        return float(n) ** (nu - 1.0)
+    except OverflowError:
+        raise ValueError(f"N^(nu-1) overflows for N={n}, nu={nu!r}") from None
+
+
 @dataclass(frozen=True)
 class CollapseCurve:
     """Scaled susceptibility curves for several sizes.
@@ -402,23 +417,19 @@ class CollapseCurve:
     samples: dict
     nu: float
 
-    def _factors(self) -> dict:
-        """Per-size N^(nu-1), sizes ascending; ValueError for a size that
-        ChainSpec rejects (not an even integer >= 4), or if one overflows."""
-        factors = {}
-        for n in sorted(self.samples):
-            try:
-                factors[n] = float(ChainSpec(n, 0.0).n_sites) ** (self.nu - 1.0)
-            except OverflowError:
-                raise ValueError(f"N^(nu-1) overflows for N={n}, nu={self.nu!r}") from None
-        return factors
+    def _sized_samples(self) -> dict:
+        """The samples keyed by size as a plain int, sizes ascending;
+        ValueError for a key that ChainSpec rejects (not an even integer
+        >= 4), raised before any key is compared."""
+        sized = {ChainSpec(n, 0.0).n_sites: s for n, s in self.samples.items()}
+        return {n: sized[n] for n in sorted(sized)}
 
     def by_size(self) -> dict:
         """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x
-        is not finite, or see ``_factors``."""
+        is not finite, or see ``_sized_samples`` and ``_size_factor``."""
         with np.errstate(over="ignore"):
-            curves = {n: (self.samples[n][0] * factor, self.samples[n][1])
-                      for n, factor in self._factors().items()}
+            curves = {n: (w * _size_factor(n, self.nu), y)
+                      for n, (w, y) in self._sized_samples().items()}
         for n, (x, _) in curves.items():
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"x = N^(nu-1) w is not finite for N={n}, nu={self.nu!r}")
@@ -472,14 +483,7 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
 
 def _check_curves(curves) -> None:
     """Raise ValueError for the first (w, y) pair that is not 1-d of one
-    length >= 2, finite, with w strictly increasing.  Curves of one common
-    length pass in one stacked check; only when that fails are they checked
-    one by one, so the message is the first bad curve's."""
-    if len({w.shape for w, _ in curves} | {y.shape for _, y in curves}) == 1:
-        stacked = np.array(curves)  # curves x (w, y) x points
-        if (stacked.ndim == 3 and stacked.shape[2] >= 2 and np.isfinite(stacked).all()
-                and (stacked[:, 0, 1:] > stacked[:, 0, :-1]).all()):
-            return
+    length >= 2, finite, with w strictly increasing."""
     for w, y in curves:
         if w.ndim != 1 or w.shape != y.shape:
             raise ValueError(f"w and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
@@ -491,6 +495,56 @@ def _check_curves(curves) -> None:
             raise ValueError("w must be strictly increasing")
 
 
+def _collapse_scorer(curve: CollapseCurve):
+    """The quality of ``curve``'s samples as a function of nu.
+
+    Everything that does not depend on nu is done here, once: the sizes are
+    read through ChainSpec, the samples converted to float arrays and
+    checked, and the window ends and the pairs of sizes kept.  The returned
+    ``score(nu)`` is ``collapse_quality(replace(curve, nu=nu))``; see there
+    for what it measures and raises.
+    """
+    samples = curve._sized_samples()
+    if len(samples) < 2:
+        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {list(samples)}")
+    sizes = list(samples)
+    curves = [tuple(np.asarray(a, dtype=float) for a in s) for s in samples.values()]
+    # No numpy step of score can overflow before its check: w is compared,
+    # not differenced, and the window ends are checked finite before
+    # np.linspace.
+    _check_curves(curves)
+    ends = [(float(w[0]), float(w[-1])) for w, _ in curves]
+    # The pairs i < j in the order of itertools.combinations.
+    first, second = np.triu_indices(len(sizes), 1)
+
+    def score(nu: float) -> float:
+        # Each curve is interpolated linearly in w at x / N^(nu-1).
+        scales = [_size_factor(n, nu) for n in sizes]
+        lo = max(w0 * s for (w0, _), s in zip(ends, scales))
+        hi = min(w1 * s for (_, w1), s in zip(ends, scales))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"collapse curves are not finite for N={sizes}, nu={nu!r}: "
+                             f"the window of x = N^(nu-1) w is [{lo}, {hi}]")
+        if lo >= hi:
+            raise ValueError(f"empty overlap window: [{lo}, {hi}]")
+        grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
+        interpolated = np.array([np.interp(grid / s, w, y) for (w, y), s in zip(curves, scales)])
+        if not np.all(np.isfinite(interpolated)):
+            raise ValueError(f"collapse curves are not finite for N={sizes}, nu={nu!r}")
+        # The pairwise spreads |row i - row j|, i < j, are summed row after
+        # row in the order of itertools.combinations, so the sum is bitwise
+        # Python's.
+        pairs = np.abs(interpolated[first] - interpolated[second])
+        mean_spread = float(np.mean(np.add.reduce(pairs, axis=0) / len(pairs)))
+        mean_curve = interpolated.mean(axis=0)
+        swing = float(mean_curve.max() - mean_curve.min())
+        if swing == 0.0:
+            return 0.0 if mean_spread == 0.0 else math.inf
+        return mean_spread / swing
+
+    return score
+
+
 def collapse_quality(curve: CollapseCurve) -> float:
     """Mean pairwise spread of the curves at matched x, relative to the
     swing of their mean.
@@ -499,50 +553,25 @@ def collapse_quality(curve: CollapseCurve) -> float:
     linear interpolation, which does not overshoot.  Identical curves give
     0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
     ValueError for a size that ChainSpec rejects, fewer than 2 sizes (one
-    curve has no spread), an empty overlap window, and per-size samples
-    that are not 1-d of one length >= 2, finite, with w strictly increasing.
+    curve has no spread), per-size samples that are not 1-d of one length
+    >= 2, finite, with w strictly increasing, an N^(nu-1) that overflows,
+    and an empty overlap window.
     """
-    scales = curve._factors()
-    if len(scales) < 2:
-        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {list(scales)}")
-    samples = {n: tuple(np.asarray(a, dtype=float) for a in curve.samples[n]) for n in scales}
-    # Each curve is interpolated linearly in w at x / N^(nu-1).  No numpy step
-    # can overflow before its check: w is compared, not differenced, and the
-    # window ends are checked finite before np.linspace.
-    _check_curves(list(samples.values()))
-    lo = max(float(w[0]) * scales[n] for n, (w, _) in samples.items())
-    hi = min(float(w[-1]) * scales[n] for n, (w, _) in samples.items())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={curve.nu!r}: "
-                         f"the window of x = N^(nu-1) w is [{lo}, {hi}]")
-    if lo >= hi:
-        raise ValueError(f"empty overlap window: [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, _QUALITY_GRID_POINTS)
-    interpolated = np.array([np.interp(grid / scales[n], w, y) for n, (w, y) in samples.items()])
-    if not np.all(np.isfinite(interpolated)):
-        raise ValueError(f"collapse curves are not finite for N={list(samples)}, nu={curve.nu!r}")
-    # The pairwise spreads |row i - row j|, i < j, are summed row after row in
-    # the order of itertools.combinations, so the sum is bitwise Python's.
-    rows = np.arange(len(interpolated))
-    pairs = np.abs(interpolated[:, None] - interpolated)[rows[:, None] < rows]
-    mean_spread = float(np.mean(np.add.reduce(pairs, axis=0) / len(pairs)))
-    mean_curve = interpolated.mean(axis=0)
-    swing = float(mean_curve.max() - mean_curve.min())
-    if swing == 0.0:
-        return 0.0 if mean_spread == 0.0 else math.inf
-    return mean_spread / swing
+    return _collapse_scorer(curve)(curve.nu)
 
 
 def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    The curves are sampled once, at nu = 1; each trial scores
-    ``collapse_quality`` with nu replaced.  Golden-section search stops at a
-    bracket narrower than 1e-3.  Raises ValueError for a size that ChainSpec
-    rejects, and for fewer than 2 distinct sizes: one curve fits every nu.
+    ``sizes`` is any iterable of sizes, read once.  The curves are sampled
+    once, at nu = 1, and checked once; each trial exponent scores them as
+    ``collapse_quality`` with nu replaced would.  Golden-section search stops
+    at a bracket narrower than 1e-3.  Raises ValueError for a size that
+    ChainSpec rejects, and for fewer than 2 distinct sizes: one curve fits
+    every nu.
     """
+    sizes = list(sizes)
     if len(set(ChainSpec(n, 0.0).n_sites for n in sizes)) < 2:
-        raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {list(sizes)}")
-    sampled = data_collapse(sizes, peaks=peaks)
-    return _golden_section_max(lambda nu: -collapse_quality(replace(sampled, nu=nu)),
-                               *_NU_BOUNDS, _NU_TOL)
+        raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {sizes}")
+    score = _collapse_scorer(data_collapse(sizes, peaks=peaks))
+    return _golden_section_max(lambda nu: -score(nu), *_NU_BOUNDS, _NU_TOL)

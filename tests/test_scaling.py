@@ -39,7 +39,14 @@ from tfim_rfs import (
     susceptibility_thermo,
 )
 from tfim_rfs.rfs import _susceptibility_finite_array
-from tfim_rfs.scaling import _THERMO_D1, _THERMO_D2, _brent_root, _r_squared
+from tfim_rfs.scaling import (
+    _THERMO_D1,
+    _THERMO_D2,
+    _brent_root,
+    _check_curves,
+    _collapse_scorer,
+    _r_squared,
+)
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
 SMALL_COLLAPSE_SIZES = (64, 128, 256)
@@ -406,6 +413,15 @@ class TestFitThermo:
         with pytest.raises(ValueError, match="not determined"):
             fit_sq_log_model(x, y)
 
+    def test_centred_x_of_two_values_rejected_without_warning(self):
+        # x has 3 distinct values, but x - mean(x) rounds to 2: q rounded to 0
+        # and Σ q r / Σ q q used to warn of 0/0 before its ValueError.
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(
+                "x - mean(x) does not resolve 3 distinct values: "
+                "the three parameters (a, d1, d2) are not determined")):
+            warnings.simplefilter("error")
+            fit_sq_log_model([0.0, 0.0, 1e-320, 1.0], [1.0, 2.0, 3.0, 4.0])
+
     @pytest.mark.parametrize("x,y", [
         ([1, 2, 3, 4, 5], [1, 2, math.nan, 4, 5]),
         ([1, 2, 3, 4, 5], [1, 2, math.inf, 4, 5]),
@@ -698,6 +714,17 @@ class TestDataCollapse:
             warnings.simplefilter("error")
             collapse_quality(curve)
 
+    def test_size_keys_read_before_they_are_sorted(self):
+        # Keys '64' and 128 used to reach sorted() first, which raised
+        # TypeError: '<' not supported between instances of 'int' and 'str'.
+        xs = np.linspace(-1.0, 1.0, 21)
+        curve = CollapseCurve(samples={"64": (xs, xs ** 2), 128: (xs, xs ** 2)}, nu=1.0)
+        for read in (collapse_quality, CollapseCurve.by_size):
+            with warnings.catch_warnings(), pytest.raises(
+                    ValueError, match=re.escape("n_sites must be an integer, got '64'")):
+                warnings.simplefilter("error")
+                read(curve)
+
     def test_peak_record_of_another_size_rejected(self, collapse_peaks):
         # The record under key 512 is the 1024-site peak: N = 512 would be
         # sampled around it, and the exponent search returned 0.5003.
@@ -836,21 +863,45 @@ class TestDataCollapse:
         with pytest.raises(ValueError, match=re.escape(f"2 distinct sizes, got {sizes}")):
             best_collapse_exponent(sizes)
 
+    @pytest.mark.parametrize("make", [iter, lambda s: (n for n in s), lambda s: map(int, s)],
+                             ids=["iterator", "generator", "map"])
+    def test_exponent_reads_sizes_once(self, make):
+        # The two-size check used to exhaust an iterator, and the collapse
+        # then raised "need at least one size".
+        expected = best_collapse_exponent(list(SMALL_COLLAPSE_SIZES))
+        assert best_collapse_exponent(make(SMALL_COLLAPSE_SIZES)).hex() == expected.hex()
+
     @pytest.mark.parametrize("sizes", [COLLAPSE_SIZES, SMALL_COLLAPSE_SIZES])
     def test_exponent_search_scores_through_collapse_quality(self, sizes, collapse_peaks,
                                                              monkeypatch):
         # A bracket of 1.5 narrowed by 1/phi per trial to 1e-3 takes 2 + 16
-        # trials, each one collapse_quality call.
+        # trials, each one call of the scorer that collapse_quality also runs.
         calls = []
 
-        def counted(curve):
-            calls.append(curve.nu)
-            return collapse_quality(curve)
+        def counted_scorer(curve):
+            score = _collapse_scorer(curve)
 
-        monkeypatch.setattr(tfim_rfs.scaling, "collapse_quality", counted)
+            def counted(nu):
+                calls.append(nu)
+                return score(nu)
+            return counted
+
+        monkeypatch.setattr(tfim_rfs.scaling, "_collapse_scorer", counted_scorer)
         peaks = {n: collapse_peaks[n] for n in sizes if n in collapse_peaks}
         best_collapse_exponent(sizes, peaks=peaks)
         assert len(calls) == 18
+
+    def test_exponent_search_checks_curves_once(self, collapse_peaks, monkeypatch):
+        # The curves are checked when the scorer is built, not per trial.
+        calls = []
+
+        def counted(curves):
+            calls.append(len(curves))
+            return _check_curves(curves)
+
+        monkeypatch.setattr(tfim_rfs.scaling, "_check_curves", counted)
+        best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
+        assert calls == [len(COLLAPSE_SIZES)]
 
     def test_exponent_search_samples_once(self, collapse_peaks, monkeypatch):
         # Every coupling evaluated, through susceptibility or the array pass:
@@ -959,8 +1010,8 @@ class TestMonotoneCubic:
     @pytest.mark.parametrize("first", sorted(BAD_CURVES))
     @pytest.mark.parametrize("second", sorted(BAD_CURVES))
     def test_first_of_two_bad_curves_is_named(self, first, second):
-        # Curves of the good curve's length fail the stacked check first;
-        # the curve-by-curve check then names the smaller size's fault.
+        # The curves are checked in size order, so the smaller size's fault
+        # is named.
         good = ([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
         samples = {64: self.BAD_CURVES[first][0], 128: good, 256: self.BAD_CURVES[second][0]}
         with pytest.raises(ValueError) as info:
