@@ -31,14 +31,10 @@ def _agm(k: float) -> tuple[float, float]:
 
     k' = sqrt(1 - k^2) is computed as sqrt((1-k)(1+k)) to avoid cancellation
     near k = 1, and E = K (1 - sum 2^(n-1) c_n^2) with c_n = (a_n - b_n)/2,
-    c_0 = k.  k is converted with ``float()``, so every k runs in double
-    precision and both results are Python floats, whatever the type of k (a
-    float32 k would otherwise round each step to single precision); a numpy
-    scalar or int k shares the entry of the float of equal value.  Callers
-    check the range first, so no NaN or out-of-range k reaches the cache;
-    0.0 and -0.0 share an entry and both give (pi/2, pi/2).
+    c_0 = k.  Callers check the range, then pass float(k), so every k runs in
+    double precision and no NaN or out-of-range k reaches the cache; 0.0 and
+    -0.0 share an entry and both give (pi/2, pi/2).
     """
-    k = float(k)
     sqrt = math.sqrt
     a = 1.0
     b = sqrt((1.0 - k) * (1.0 + k))
@@ -82,7 +78,7 @@ def elliptic_k(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_k requires 0 <= k < 1, got k={k!r}")
-    return _agm(k)[0]
+    return _agm(float(k))[0]
 
 
 def elliptic_e(k: float) -> float:
@@ -94,4 +90,4 @@ def elliptic_e(k: float) -> float:
         raise ValueError(f"elliptic_e requires 0 <= k <= 1, got k={k!r}")
     if k == 1.0:
         return 1.0
-    return _agm(k)[1]
+    return _agm(float(k))[1]

@@ -366,12 +366,12 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     """``correlators_finite`` of an N-site ring at every coupling of a 1-d array.
 
     Returns (fields, ok): the 8 ``CorrelatorSet`` fields as arrays, and the
-    mask of the couplings that pass the checks of ``ChainSpec``,
-    ``_finite_sums`` and ``CorrelatorSet``, whose fields are bitwise the
-    scalar ones.  The rest may hold anything.  The couplings go through
-    ``_pairwise_sums`` as columns of as many couplings as fit, with a block of
-    modes each, in the first _BLOCK doubles of the thread's work arrays.  A
-    column's sums are bitwise the scalar ones because np.add.reduce along the
+    mask of the couplings that pass the checks of ``ChainSpec`` and
+    ``_finite_sums``, whose fields are bitwise the scalar ones; the
+    magnitude check of ``CorrelatorSet`` is left to the caller.  The rest
+    may hold anything.  The couplings go through ``_pairwise_sums`` as
+    columns of as many couplings as fit, with a block of modes each, in the
+    first _BLOCK doubles of the thread's work arrays.  A column's sums are bitwise the scalar ones because np.add.reduce along the
     last axis of C-contiguous rows sums each row pairwise, as it sums a 1-d
     array; the tests check this on numpy 2.4, and the oldest-numpy CI job
     runs them on 1.24.  The memo is neither read nor filled.  A bad n_sites
@@ -390,10 +390,7 @@ def _correlators_finite_array(n_sites: int, lams: np.ndarray):
     work = _work_rows()
     parts = [_pairwise_sums(s, chunk, work, False) for chunk in chunks]
     sz, xx, yy, d_xx, d_yy = (np.hstack(totals) / half for totals in zip(*parts))
-    fields = _finite_fields(lam, sz, xx, yy, d_xx, d_yy)
-    for value in fields[:4]:
-        ok &= abs(value) <= _MAX_MAGNITUDE
-    return fields, ok
+    return _finite_fields(lam, sz, xx, yy, d_xx, d_yy), ok
 
 
 def _finite_curvature(spec: ChainSpec):
@@ -491,19 +488,16 @@ def _correlators_thermo_array(lam: np.ndarray):
     """``correlators_thermo`` of every coupling of an array, in one numpy pass.
 
     Returns (fields, ok): the 8 ``CorrelatorSet`` fields as arrays, and the
-    mask of the couplings that pass the checks of ``correlators_thermo`` and
-    ``CorrelatorSet``, whose fields are bitwise the scalar ones.  The rest
-    may hold anything; lam = 0, a special case of the scalar path, is among
-    them.  When some modulus rounds to 1, nothing is evaluated: fields is None
-    and ok is all False.  Call it under ``np.errstate(all="ignore")``: masked
-    elements may overflow.
+    mask of the couplings that pass the checks of ``correlators_thermo``,
+    whose fields are bitwise the scalar ones; the magnitude check of
+    ``CorrelatorSet`` is left to the caller.  The rest may hold anything;
+    lam = 0, a special case of the scalar path, is among them.  When some
+    modulus rounds to 1, nothing is evaluated: fields is None and ok is all
+    False.  Call it under ``np.errstate(all="ignore")``: masked elements may
+    overflow.
     """
     sqrt_lam = np.sqrt(lam)
     k = 2.0 * sqrt_lam / (1.0 + lam)
     if not np.all(k < 1.0):
         return None, np.zeros(lam.shape, dtype=bool)
-    fields = _thermo_fields(lam, sqrt_lam, k, *_elliptic_ke_array(k))
-    ok = lam != 0.0
-    for value in fields[:4]:
-        ok &= abs(value) <= _MAX_MAGNITUDE
-    return fields, ok
+    return _thermo_fields(lam, sqrt_lam, k, *_elliptic_ke_array(k)), lam != 0.0

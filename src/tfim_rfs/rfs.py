@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import (
+    _MAX_MAGNITUDE,
     ChainSpec,
     _correlators_finite_array,
     _correlators_thermo_array,
@@ -280,7 +281,10 @@ def _susceptibility_finite_array(n_sites: int, lam: np.ndarray):
 def _closed_form_array(fields, ok):
     """The closed-form chi of the 8 correlator fields as arrays, through
     ``build_rdm``'s and ``rfs_closed_form``'s own formulas; clears in ``ok``
-    the couplings that either one rejects."""
+    the couplings that ``CorrelatorSet``'s magnitude check or either formula
+    rejects."""
+    for value in fields[:4]:
+        ok &= abs(value) <= _MAX_MAGNITUDE
     for derivative in fields[4:]:
         ok &= np.isfinite(derivative)
     one, two = _blocks(_RdmArrays(*_elements(*fields[:4]), *_element_derivatives(*fields[4:])))

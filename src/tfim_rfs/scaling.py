@@ -21,6 +21,7 @@ x / N^(nu-1), so a trial exponent rescales the curves without resampling.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -417,19 +418,12 @@ class CollapseCurve:
     samples: dict
     nu: float
 
-    def _sized_samples(self) -> dict:
-        """The samples keyed by size as a plain int, sizes ascending;
-        ValueError for a key that ChainSpec rejects (not an even integer
-        >= 4), raised before any key is compared."""
-        sized = {ChainSpec(n, 0.0).n_sites: s for n, s in self.samples.items()}
-        return {n: sized[n] for n in sorted(sized)}
-
     def by_size(self) -> dict:
         """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x
-        is not finite, or see ``_sized_samples`` and ``_size_factor``."""
+        is not finite, or see ``_read_samples`` and ``_size_factor``."""
+        samples = _read_samples(self)
         with np.errstate(over="ignore"):
-            curves = {n: (w * _size_factor(n, self.nu), y)
-                      for n, (w, y) in self._sized_samples().items()}
+            curves = {n: (w * _size_factor(n, self.nu), y) for n, (w, y) in samples.items()}
         for n, (x, _) in curves.items():
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"x = N^(nu-1) w is not finite for N={n}, nu={self.nu!r}")
@@ -443,7 +437,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError for a
-    size that ChainSpec rejects (not an even integer >= 4), and before
+    size that ChainSpec rejects (not an even integer >= 4) or a ``peaks``
+    that is not None or a mapping, before any peak is searched, and before
     sampling a size whose record in ``peaks`` is of another N or has a chi_m
     not finite and >= 0, or whose window reaches lam < 0, as at N <= 10.
 
@@ -457,6 +452,8 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     sizes = sorted(set(ChainSpec(n, 0.0).n_sites for n in sizes))
     if not sizes:
         raise ValueError("need at least one size")
+    if not isinstance(peaks, (Mapping, type(None))):
+        raise ValueError(f"peaks must be a mapping n_sites -> PeakRecord, got {type(peaks).__name__}")
     peaks = peaks or {}
     offsets = np.linspace(*_COLLAPSE_WINDOW, _COLLAPSE_POINTS)
     samples = {}
@@ -481,10 +478,15 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     return CollapseCurve(samples=samples, nu=float(nu))
 
 
-def _check_curves(curves) -> None:
-    """Raise ValueError for the first (w, y) pair that is not 1-d of one
-    length >= 2, finite, with w strictly increasing."""
-    for w, y in curves:
+def _read_samples(curve: CollapseCurve) -> dict:
+    """``curve``'s samples keyed by size as a plain int, sizes ascending, each
+    (w, y) as float arrays, checked at every read since they are mutable.
+    ValueError for a key that ChainSpec rejects, before any key is compared,
+    then for the first pair in size order that is not 1-d of one length >= 2,
+    finite, with w strictly increasing."""
+    sized = {ChainSpec(n, 0.0).n_sites: s for n, s in curve.samples.items()}
+    samples = {n: tuple(np.asarray(a, dtype=float) for a in sized[n]) for n in sorted(sized)}
+    for w, y in samples.values():
         if w.ndim != 1 or w.shape != y.shape:
             raise ValueError(f"w and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
         if w.size < 2:
@@ -493,26 +495,25 @@ def _check_curves(curves) -> None:
             raise ValueError("w and y must be finite")
         if not np.all(w[1:] > w[:-1]):
             raise ValueError("w must be strictly increasing")
+    return samples
 
 
 def _collapse_scorer(curve: CollapseCurve):
     """The quality of ``curve``'s samples as a function of nu.
 
-    Everything that does not depend on nu is done here, once: the sizes are
-    read through ChainSpec, the samples converted to float arrays and
-    checked, and the window ends and the pairs of sizes kept.  The returned
-    ``score(nu)`` is ``collapse_quality(replace(curve, nu=nu))``; see there
-    for what it measures and raises.
+    Everything that does not depend on nu is done here, once: the samples
+    are read through ``_read_samples``, and the window ends and the pairs of
+    sizes kept.  The returned ``score(nu)`` is
+    ``collapse_quality(replace(curve, nu=nu))``; see there for what it
+    measures and raises.
     """
-    samples = curve._sized_samples()
+    samples = _read_samples(curve)
     if len(samples) < 2:
         raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {list(samples)}")
-    sizes = list(samples)
-    curves = [tuple(np.asarray(a, dtype=float) for a in s) for s in samples.values()]
+    sizes, curves = list(samples), list(samples.values())
     # No numpy step of score can overflow before its check: w is compared,
     # not differenced, and the window ends are checked finite before
     # np.linspace.
-    _check_curves(curves)
     ends = [(float(w[0]), float(w[-1])) for w, _ in curves]
     # The pairs i < j in the order of itertools.combinations.
     first, second = np.triu_indices(len(sizes), 1)
@@ -567,8 +568,8 @@ def best_collapse_exponent(sizes, peaks=None) -> float:
     once, at nu = 1, and checked once; each trial exponent scores them as
     ``collapse_quality`` with nu replaced would.  Golden-section search stops
     at a bracket narrower than 1e-3.  Raises ValueError for a size that
-    ChainSpec rejects, and for fewer than 2 distinct sizes: one curve fits
-    every nu.
+    ChainSpec rejects, for fewer than 2 distinct sizes (one curve fits every
+    nu), and for a ``peaks`` that ``data_collapse`` rejects.
     """
     sizes = list(sizes)
     if len(set(ChainSpec(n, 0.0).n_sites for n in sizes)) < 2:

@@ -122,7 +122,7 @@ def test_against_mpmath_near_unit_modulus():
 
 
 @pytest.mark.parametrize("k", [np.float32(0.7), np.float64(0.7), np.float32(0.999), np.float64(0.3),
-                               0, np.int64(0), np.float32(0.0)])
+                               0, np.int64(0), np.float32(0.0), np.array(0.7)])
 def test_any_real_k_gives_the_float_of_float_k(k):
     # Both integrals run in double precision on float(k) and return Python
     # floats: a float32 k no longer rounds the AGM to single precision, and a

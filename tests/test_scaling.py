@@ -43,9 +43,9 @@ from tfim_rfs.scaling import (
     _THERMO_D1,
     _THERMO_D2,
     _brent_root,
-    _check_curves,
     _collapse_scorer,
     _r_squared,
+    _read_samples,
 )
 
 COLLAPSE_SIZES = (512, 1024, 2048, 4096)
@@ -725,6 +725,21 @@ class TestDataCollapse:
                 warnings.simplefilter("error")
                 read(curve)
 
+    @pytest.mark.parametrize("listed", [lambda peaks: [peaks[512]], lambda peaks: [512]],
+                             ids=["records", "sizes"])
+    def test_peaks_not_a_mapping_rejected(self, listed, collapse_peaks, monkeypatch):
+        # A list of records, the shape fit_finite_size takes, used to be
+        # ignored, and its peaks searched again; a list of sizes raised a bare
+        # IndexError.  Both are rejected before any peak is searched.
+        searched = []
+        monkeypatch.setattr(tfim_rfs.scaling, "find_peak",
+                            lambda n: searched.append(n) or find_peak(n))
+        message = re.escape("peaks must be a mapping n_sites -> PeakRecord, got list")
+        for collapse in (data_collapse, best_collapse_exponent):
+            with pytest.raises(ValueError, match=message):
+                collapse([512, 1024], peaks=listed(collapse_peaks))
+        assert searched == []
+
     def test_peak_record_of_another_size_rejected(self, collapse_peaks):
         # The record under key 512 is the 1024-site peak: N = 512 would be
         # sampled around it, and the exponent search returned 0.5003.
@@ -892,14 +907,15 @@ class TestDataCollapse:
         assert len(calls) == 18
 
     def test_exponent_search_checks_curves_once(self, collapse_peaks, monkeypatch):
-        # The curves are checked when the scorer is built, not per trial.
+        # The samples are read and checked when the scorer is built, not per
+        # trial.
         calls = []
 
-        def counted(curves):
-            calls.append(len(curves))
-            return _check_curves(curves)
+        def counted(curve):
+            calls.append(len(curve.samples))
+            return _read_samples(curve)
 
-        monkeypatch.setattr(tfim_rfs.scaling, "_check_curves", counted)
+        monkeypatch.setattr(tfim_rfs.scaling, "_read_samples", counted)
         best_collapse_exponent(COLLAPSE_SIZES, peaks=collapse_peaks)
         assert calls == [len(COLLAPSE_SIZES)]
 
@@ -996,7 +1012,8 @@ def test_quality_sums_pairs_as_python_sum(seed):
 
 
 class TestMonotoneCubic:
-    """Input checks of the collapse interpolant, on hand-built curves."""
+    """Input checks of a collapse curve's samples, as ``collapse_quality`` and
+    ``CollapseCurve.by_size`` read them, on hand-built curves."""
 
     BAD_CURVES = {
         "two_d": ((np.ones((2, 3)), np.ones((2, 3))),
@@ -1009,16 +1026,23 @@ class TestMonotoneCubic:
 
     @pytest.mark.parametrize("first", sorted(BAD_CURVES))
     @pytest.mark.parametrize("second", sorted(BAD_CURVES))
-    def test_first_of_two_bad_curves_is_named(self, first, second):
+    def test_first_of_two_bad_curves_is_named(self, first, second, read=collapse_quality):
         # The curves are checked in size order, so the smaller size's fault
         # is named.
         good = ([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
         samples = {64: self.BAD_CURVES[first][0], 128: good, 256: self.BAD_CURVES[second][0]}
         with pytest.raises(ValueError) as info:
-            collapse_quality(CollapseCurve(samples=samples, nu=1.0))
+            read(CollapseCurve(samples=samples, nu=1.0))
         assert str(info.value) == self.BAD_CURVES[first][1]
 
-    @pytest.mark.parametrize("xs, ys, message", [
+    @pytest.mark.parametrize("first", sorted(BAD_CURVES))
+    @pytest.mark.parametrize("second", sorted(BAD_CURVES))
+    def test_by_size_names_first_of_two_bad_curves(self, first, second):
+        # by_size used to skip the checks: it returned x for a decreasing or
+        # 2-d w, and rescaled a NaN w to a message about x.
+        self.test_first_of_two_bad_curves_is_named(first, second, read=CollapseCurve.by_size)
+
+    INVALID_DATA = [
         ([0.0], [1.0], "at least 2 points"),
         ([0.0, 1.0, 2.0], [0.0, 1.0], "1-d of one length"),
         ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]], "1-d of one length"),
@@ -1026,12 +1050,32 @@ class TestMonotoneCubic:
         ([0.0, 1.0], [0.0, math.nan], "finite"),
         ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
         ([1.0, 0.0], [0.0, 1.0], "strictly increasing"),
-    ])
-    def test_rejects_invalid_data(self, xs, ys, message):
+    ]
+
+    @pytest.mark.parametrize("xs, ys, message", INVALID_DATA)
+    def test_rejects_invalid_data(self, xs, ys, message, read=collapse_quality):
         good = np.array([0.0, 0.5, 1.0])
         curve = CollapseCurve(samples={64: (xs, ys), 128: (good, good)}, nu=1.0)
         with pytest.raises(ValueError, match=message):
-            collapse_quality(curve)
+            read(curve)
+
+    @pytest.mark.parametrize("xs, ys, message", INVALID_DATA)
+    def test_by_size_rejects_invalid_data(self, xs, ys, message):
+        self.test_rejects_invalid_data(xs, ys, message, read=CollapseCurve.by_size)
+
+    def test_by_size_reads_list_samples(self):
+        # by_size used to multiply the lists by N^(nu-1), a TypeError, while
+        # collapse_quality converted them.
+        samples = {64: ([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), 128: ([0.0, 1.0, 2.0], [0.0, 1.5, 4.0])}
+        listed = CollapseCurve(samples=samples, nu=2.0)
+        arrays = CollapseCurve(samples={n: tuple(map(np.array, s)) for n, s in samples.items()},
+                               nu=2.0)
+        expected = arrays.by_size()
+        got = listed.by_size()
+        assert list(got) == list(expected) == [64, 128]
+        for n, (x, y) in got.items():
+            assert (x.tobytes(), y.tobytes()) == tuple(a.tobytes() for a in expected[n])
+        assert collapse_quality(listed).hex() == collapse_quality(arrays).hex()
 
     def test_non_finite_curve_rejected(self):
         # A hand-built curve is public input; np.interp would not reject an infinite w.
