@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exact import ChainSpec, correlators_finite, correlators_thermo
+from .exact import ChainSpec, _checked_lam, correlators_finite, correlators_thermo
 from .rdm import build_rdm
 from .rfs import _DELTA_MAX, _DELTA_MIN, SingularBlockError, rfs_closed_form, rfs_oracle
 from .scaling import (
@@ -61,9 +61,11 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if not self.sizes:
             raise UsageError("at least one size is required")
-        if any(n % 2 != 0 or n < 4 for n in self.sizes):
-            raise UsageError(f"sizes must be even and >= 4, got {list(self.sizes)}")
+        for n in self.sizes:
+            ChainSpec(n, 0.0)  # ChainSpec's ValueError for a size that is not a chain
         if _COMMANDS[self.command][1]:
+            for lam in (self.lambda_min, self.lambda_max):  # checked before np.linspace
+                _checked_lam(lam)
             if not self.lambda_min < self.lambda_max:
                 raise UsageError("lambda range must satisfy min < max, "
                                  f"got [{self.lambda_min}, {self.lambda_max}]")

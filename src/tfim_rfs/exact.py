@@ -89,13 +89,19 @@ class ChainSpec:
         n = int(self.n_sites)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 4, got {n}")
-        if not isinstance(self.lam, Real):
-            raise ValueError(f"lam must be a real number, got {self.lam!r}")
-        lam = float(self.lam) + 0.0  # -0.0 + 0.0 is 0.0; every other float is unchanged
-        if not math.isfinite(lam) or lam < 0.0:
-            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         object.__setattr__(self, "n_sites", n)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _checked_lam(self.lam))
+
+
+def _checked_lam(lam) -> float:
+    """lam as a float, -0.0 read as 0.0; ValueError unless a real number, finite and >= 0.
+    The rule of both regimes and the CLI grid.  Floats skip isinstance, 5x the rest's cost."""
+    if type(lam) is not float and not isinstance(lam, Real):
+        raise ValueError(f"lam must be a real number, got {lam!r}")
+    lam = float(lam) + 0.0  # -0.0 + 0.0 is 0.0; every other float is unchanged
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return lam
 
 
 def _slot_init(cls):
@@ -412,7 +418,7 @@ def _finite_curvature(spec: ChainSpec):
 
 
 def correlators_thermo(lam: float) -> CorrelatorSet:
-    """Thermodynamic-limit correlators at coupling lam >= 0.
+    """Thermodynamic-limit correlators at a coupling lam that ``ChainSpec`` accepts.
 
     With k = 2 sqrt(lam) / (1 + lam) and K = K(k), E = E(k):
         sz = [(1 - lam) K + (1 + lam) E] / pi
@@ -433,9 +439,7 @@ def correlators_thermo(lam: float) -> CorrelatorSet:
     whole arrays of couplings (through ``_correlators_thermo_array``); both
     round every value alike.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    lam = _checked_lam(lam)
     if lam == 0.0:
         # Fully polarized paramagnet; derivative limits of the sums.
         return CorrelatorSet(1.0, 0.0, 0.0, 1.0, 0.0, 0.5, -0.5, 0.0)

@@ -259,10 +259,7 @@ def _susceptibility_thermo_array(lam: np.ndarray):
     at its first failure, as a scalar loop does.
     """
     with np.errstate(all="ignore"):
-        fields, ok = _correlators_thermo_array(lam)
-        if fields is None:
-            return np.empty_like(lam), ok
-        return _closed_form_array(fields, ok), ok
+        return _closed_form_array(*_correlators_thermo_array(lam))
 
 
 def _susceptibility_finite_array(n_sites: int, lam: np.ndarray):
@@ -274,15 +271,16 @@ def _susceptibility_finite_array(n_sites: int, lam: np.ndarray):
     bitwise its value.  The memo is neither read nor filled.
     """
     with np.errstate(all="ignore"):
-        fields, ok = _correlators_finite_array(n_sites, lam)
-        return _closed_form_array(fields, ok), ok
+        return _closed_form_array(*_correlators_finite_array(n_sites, lam))
 
 
 def _closed_form_array(fields, ok):
-    """The closed-form chi of the 8 correlator fields as arrays, through
-    ``build_rdm``'s and ``rfs_closed_form``'s own formulas; clears in ``ok``
-    the couplings that ``CorrelatorSet``'s magnitude check or either formula
-    rejects."""
+    """(chi, ok) of a correlator pass's (fields, ok): chi through ``build_rdm``'s and
+    ``rfs_closed_form``'s own formulas, and ``ok`` cleared where ``CorrelatorSet``'s
+    magnitude check or either formula rejects a coupling.  Fields of None, where
+    the pass evaluated nothing, give an unset chi."""
+    if fields is None:
+        return np.empty(ok.shape), ok
     for value in fields[:4]:
         ok &= abs(value) <= _MAX_MAGNITUDE
     for derivative in fields[4:]:
@@ -293,4 +291,4 @@ def _closed_form_array(fields, ok):
     # eigenvalue below -1e-10 leaves the other one positive and det < 0,
     # up to a roundoff far below 1e-12.
     ok &= (one[6] > _SINGULAR_TOL) & (two[6] > _SINGULAR_TOL)
-    return _block_chi(one) + _block_chi(two)
+    return _block_chi(one) + _block_chi(two), ok

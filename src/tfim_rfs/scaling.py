@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -248,11 +249,18 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    an n_sites that ChainSpec rejects (not an even integer >= 4), fewer than
+    a ``peaks`` that is a mapping or holds anything but PeakRecords, an
+    n_sites that ChainSpec rejects (not an even integer >= 4), fewer than
     two distinct sizes, a chi_m not finite and >= 0, or a slope of exactly 0
     (c1 undetermined).
     """
-    peaks = sorted(peaks, key=lambda p: p.n_sites)
+    if isinstance(peaks, Mapping):
+        raise ValueError(f"peaks must be an iterable of PeakRecord, got {type(peaks).__name__}")
+    peaks = list(peaks)
+    for p in peaks:
+        if not isinstance(p, PeakRecord):
+            raise ValueError(f"peaks must hold PeakRecords, got {type(p).__name__}")
+    peaks.sort(key=lambda p: p.n_sites)
     sizes = [ChainSpec(p.n_sites, 0.0).n_sites for p in peaks]
     if len(set(sizes)) < 2:
         raise ValueError("need at least two distinct sizes for a line fit")
@@ -413,10 +421,15 @@ class CollapseCurve:
     w = N (lam - lam_m) and y = sqrt(chi_m) - sqrt(chi(lam)).  ``by_size``
     derives x = N^nu (lam - lam_m) = N^(nu-1) w, so ``replace(curve, nu=...)``
     rescales without resampling.  At nu = 1 the sizes trace one function.
+    ``nu`` must be a real number; the samples are checked when read.
     """
 
     samples: dict
     nu: float
+
+    def __post_init__(self):
+        if not isinstance(self.nu, Real):
+            raise ValueError(f"nu must be a real number, got {self.nu!r}")
 
     def by_size(self) -> dict:
         """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x

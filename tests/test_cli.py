@@ -386,6 +386,26 @@ def test_nu_must_be_finite(value):
     assert proc.stderr.count("\n") == 1 and re.search(r"\bnu\b", proc.stderr)
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("sweep", ["--sizes", "64", "--lambda-min", "0.8", "--lambda-max", "inf", "--steps", "3"]),
+    ("thermo", ["--lambda-max", "inf", "--steps", "1"]),
+    ("sweep", ["--sizes", "64", "--lambda-min", "nan", "--steps", "1"]),
+    ("thermo", ["--lambda-min", "nan", "--steps", "1"]),
+], ids=["sweep-max-inf", "thermo-max-inf", "sweep-min-nan", "thermo-min-nan"])
+def test_grid_bounds_must_be_couplings(command, flags):
+    # A separate process, so that warnings printed before the error reach
+    # stderr.  An infinite bound used to reach np.linspace, which warned and
+    # made a NaN grid point; a NaN bound failed the min < max check instead.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfim_rfs.cli", command, *flags],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    value = "inf" if "inf" in flags else "nan"
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"tfim-rfs: error: lam must be finite and >= 0, got {value}\n"
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["does-not-exist"])

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, make_dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -262,6 +263,51 @@ class TestChainSpec:
             for lam in order:
                 assert _bits(correlators_finite(ChainSpec(8, lam))) == expected, order
         assert ChainSpec(8, -0.0).lam.hex() == "0x0.0p+0"
+
+
+# Values that are not couplings, with the ValueError message that each entry
+# taking a coupling gives for them.
+NOT_COUPLINGS = {
+    "str": ("0.5", "lam must be a real number, got '0.5'"),
+    "none": (None, "lam must be a real number, got None"),
+    "complex": (1j, "lam must be a real number, got 1j"),
+    "array": (np.array(0.5), "lam must be a real number, got array(0.5)"),
+    "nan": (math.nan, "lam must be finite and >= 0, got nan"),
+    "inf": (math.inf, "lam must be finite and >= 0, got inf"),
+    "negative": (-1.0, "lam must be finite and >= 0, got -1.0"),
+    "tiny_negative": (-1e-300, "lam must be finite and >= 0, got -1e-300"),
+}
+
+COUPLING_ENTRIES = {
+    "ChainSpec": lambda lam: ChainSpec(64, lam),
+    "correlators_thermo": correlators_thermo,
+    "susceptibility_thermo": susceptibility_thermo,
+    "susceptibility": lambda lam: susceptibility(64, lam),
+}
+
+
+class TestOneCouplingRule:
+    """Both regimes check a coupling with ChainSpec's rule.  The
+    thermodynamic path used to take anything float() takes ('0.5' gave a
+    value) and to raise a bare TypeError for None or a complex number."""
+
+    @pytest.mark.parametrize("entry", COUPLING_ENTRIES.values(), ids=COUPLING_ENTRIES)
+    @pytest.mark.parametrize("lam,message", NOT_COUPLINGS.values(), ids=NOT_COUPLINGS)
+    def test_not_a_coupling(self, entry, lam, message):
+        with pytest.raises(ValueError) as info:
+            entry(lam)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lam", [2, np.float64(0.7), Fraction(7, 10)],
+                             ids=["int", "float64", "fraction"])
+    def test_real_number_gives_the_bits_of_its_float(self, lam):
+        value = float(lam)
+        assert ChainSpec(64, lam).lam.hex() == value.hex()
+        assert _bits(correlators_finite(ChainSpec(64, lam))) == \
+            _bits(correlators_finite(ChainSpec(64, value)))
+        assert susceptibility(64, lam).hex() == susceptibility(64, value).hex()
+        assert _bits(correlators_thermo(lam)) == _bits(correlators_thermo(value))
+        assert susceptibility_thermo(lam).hex() == susceptibility_thermo(value).hex()
 
 
 class TestFiniteCorrelators:

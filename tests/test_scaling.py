@@ -319,6 +319,17 @@ class TestFitFiniteSize:
             with pytest.raises(ValueError, match=re.escape(message)):
                 fit_finite_size(peaks)
 
+    @pytest.mark.parametrize("peaks,message", [
+        ({64: PeakRecord(64, 0.97, 2.0), 128: PeakRecord(128, 0.98, 2.5)},
+         "peaks must be an iterable of PeakRecord, got dict"),
+        ([64, 128], "peaks must hold PeakRecords, got int"),
+    ], ids=["mapping", "sizes"])
+    def test_peaks_not_records_rejected(self, peaks, message):
+        # The mapping that data_collapse takes, and a list of sizes, used to
+        # raise a bare AttributeError from the sort by n_sites.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_finite_size(peaks)
+
     def test_r_squared_of_flat_data(self):
         flat = np.array([2.0, 2.0])
         assert _r_squared(flat, [0.0, 0.0]) == 1.0
@@ -783,6 +794,19 @@ class TestDataCollapse:
         with pytest.raises(ValueError, match=r"not finite for N=256, nu=128\.9"):
             curve.by_size()
         assert math.isfinite(collapse_quality(curve))
+
+    @pytest.mark.parametrize("nu", ["1.5", None, Decimal("1.5"), 1j],
+                             ids=["str", "none", "decimal", "complex"])
+    def test_nu_not_a_real_number_rejected(self, nu):
+        # nu used to be stored as given and to fail as a bare TypeError in
+        # N^(nu-1), from collapse_quality and by_size alike.
+        xs = np.linspace(-1.0, 1.0, 5)
+        curve = CollapseCurve(samples={64: (xs, xs ** 2), 128: (xs, xs ** 2)}, nu=1.0)
+        message = re.escape(f"nu must be a real number, got {nu!r}")
+        with pytest.raises(ValueError, match=message):
+            CollapseCurve(samples=curve.samples, nu=nu)
+        with pytest.raises(ValueError, match=message):
+            replace(curve, nu=nu)
 
     def test_empty_overlap_raises(self):
         samples = {64: (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
