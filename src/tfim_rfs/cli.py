@@ -25,14 +25,9 @@ import numpy as np
 
 from .exact import ChainSpec, _checked_lam, correlators_finite, correlators_thermo
 from .rdm import build_rdm
-from .rfs import _DELTA_MAX, _DELTA_MIN, SingularBlockError, rfs_closed_form, rfs_oracle
-from .scaling import (
-    LOG_SQUARED_AMPLITUDE,
-    collapse_quality,
-    data_collapse,
-    find_peak,
-    fit_finite_size,
-)
+from .rfs import SingularBlockError, _checked_delta, rfs_closed_form, rfs_oracle
+from .scaling import (LOG_SQUARED_AMPLITUDE, _checked_nu, collapse_quality, data_collapse,
+                      find_peak, fit_finite_size)
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
@@ -71,10 +66,8 @@ class RunConfig:
                                  f"got [{self.lambda_min}, {self.lambda_max}]")
             if self.steps < 1:
                 raise UsageError(f"steps must be >= 1, got {self.steps}")
-        if not _DELTA_MIN <= self.delta <= _DELTA_MAX:
-            raise UsageError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {self.delta}")
-        if not math.isfinite(self.nu):
-            raise UsageError(f"nu must be finite, got {self.nu}")
+        _checked_delta(self.delta)
+        _checked_nu(self.nu)
         if self.output_format not in _FORMATS:
             raise UsageError(f"format must be csv or json, got {self.output_format!r}")
 

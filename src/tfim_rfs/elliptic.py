@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from ._read import _real
+
 __all__ = ["elliptic_k", "elliptic_e"]
 
 # Relative gap |a - b| / a at which the AGM iteration stops; one step below
@@ -31,8 +33,8 @@ def _agm(k: float) -> tuple[float, float]:
 
     k' = sqrt(1 - k^2) is computed as sqrt((1-k)(1+k)) to avoid cancellation
     near k = 1, and E = K (1 - sum 2^(n-1) c_n^2) with c_n = (a_n - b_n)/2,
-    c_0 = k.  Callers check the range, then pass float(k), so every k runs in
-    double precision and no NaN or out-of-range k reaches the cache; 0.0 and
+    c_0 = k.  Callers read k by ``_real`` and check its range, so every k runs
+    in double precision and no NaN or out-of-range k reaches the cache; 0.0 and
     -0.0 share an entry and both give (pi/2, pi/2).
     """
     sqrt = math.sqrt
@@ -74,20 +76,24 @@ def _elliptic_ke_array(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def elliptic_k(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 agm(1, k')).
 
-    Requires 0 <= k < 1; K diverges logarithmically as k -> 1.
+    Requires a real number 0 <= k < 1; K diverges logarithmically as k -> 1.
     """
+    if type(k) is not float:  # no call for a float: K and E run per thermodynamic coupling
+        k = _real(k, "k")
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_k requires 0 <= k < 1, got k={k!r}")
-    return _agm(float(k))[0]
+    return _agm(k)[0]
 
 
 def elliptic_e(k: float) -> float:
     """Complete elliptic integral of the second kind, E(k) = K(k) (1 - sum 2^(n-1) c_n^2).
 
-    Requires 0 <= k <= 1; E(1) = 1 exactly.
+    Requires a real number 0 <= k <= 1; E(1) = 1 exactly.
     """
+    if type(k) is not float:  # no call for a float: K and E run per thermodynamic coupling
+        k = _real(k, "k")
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"elliptic_e requires 0 <= k <= 1, got k={k!r}")
     if k == 1.0:
         return 1.0
-    return _agm(float(k))[1]
+    return _agm(k)[1]

@@ -47,10 +47,11 @@ import threading
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from math import pi
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
+from ._read import _real
 from .elliptic import _elliptic_ke_array, elliptic_e, elliptic_k
 
 __all__ = [
@@ -76,8 +77,7 @@ class ChainSpec:
     """A single evaluation point: chain length and Ising coupling.
 
     n_sites must be even (so the momentum quantum numbers are half-odd
-    integers) and at least 4; lam is dimensionless and non-negative.  A lam
-    of -0.0 is stored as 0.0, so that equal specs give equal bits.
+    integers) and at least 4; lam is read by ``_checked_lam``.
     """
 
     n_sites: int
@@ -94,11 +94,9 @@ class ChainSpec:
 
 
 def _checked_lam(lam) -> float:
-    """lam as a float, -0.0 read as 0.0; ValueError unless a real number, finite and >= 0.
-    The rule of both regimes and the CLI grid.  Floats skip isinstance, 5x the rest's cost."""
-    if type(lam) is not float and not isinstance(lam, Real):
-        raise ValueError(f"lam must be a real number, got {lam!r}")
-    lam = float(lam) + 0.0  # -0.0 + 0.0 is 0.0; every other float is unchanged
+    """lam read by ``_real``, -0.0 as 0.0 (equal specs, equal bits); ValueError unless
+    finite and >= 0: the rule of both regimes, the CLI grid and ``fit_thermo``'s windows."""
+    lam = (lam if type(lam) is float else _real(lam, "lam")) + 0.0  # -0.0 + 0.0 is 0.0
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     return lam

@@ -37,16 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import (
-    _MAX_MAGNITUDE,
-    ChainSpec,
-    _correlators_finite_array,
-    _correlators_thermo_array,
-    _finite_curvature,
-    _slot_init,
-    correlators_finite,
-    correlators_thermo,
-)
+from ._read import _real
+from .exact import (_MAX_MAGNITUDE, ChainSpec, _correlators_finite_array, _correlators_thermo_array,
+                    _finite_curvature, _slot_init, correlators_finite, correlators_thermo)
 from .rdm import TwoSiteRdm, _element_derivatives, _elements, build_rdm
 
 __all__ = [
@@ -63,7 +56,13 @@ __all__ = [
 # (the closed-form susceptibility needs det != 0 and tr != 0).
 _SINGULAR_TOL = 1e-12
 
-_DELTA_MIN, _DELTA_MAX = 1e-6, 1e-3
+
+def _checked_delta(delta) -> float:
+    """The oracle step read by ``_real``; ValueError unless in [1e-6, 1e-3]."""
+    delta = _real(delta, "delta")
+    if not 1e-6 <= delta <= 1e-3:
+        raise ValueError(f"delta must lie in [1e-06, 0.001], got {delta}")
+    return delta
 
 
 class SingularBlockError(ValueError):
@@ -196,8 +195,7 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
     Records, where the closed form applies, the relative discrepancy
     against it.
     """
-    if not _DELTA_MIN <= delta <= _DELTA_MAX:
-        raise ValueError(f"delta must lie in [{_DELTA_MIN}, {_DELTA_MAX}], got {delta}")
+    delta = _checked_delta(delta)
     if spec.lam - delta < 0.0:
         raise ValueError(f"lam={spec.lam} too close to zero for step {delta}")
 

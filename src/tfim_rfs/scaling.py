@@ -23,18 +23,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .exact import ChainSpec
-from .rfs import (
-    _susceptibility_finite_array,
-    _susceptibility_thermo_array,
-    susceptibility,
-    susceptibility_slope,
-    susceptibility_thermo,
-)
+from ._read import _real, _reals
+from .exact import ChainSpec, _checked_lam
+from .rfs import (_susceptibility_finite_array, _susceptibility_thermo_array, susceptibility,
+                  susceptibility_slope, susceptibility_thermo)
 
 __all__ = [
     "LOG_SQUARED_AMPLITUDE",
@@ -227,11 +222,24 @@ def find_peak(n_sites: int) -> PeakRecord:
     raise PeakSearchError(f"no maximum of chi in [{lo!r}, {hi!r}] for N={n_sites}")
 
 
-def _checked_chi_m(rec: PeakRecord) -> float:
-    """The record's chi_m; ValueError, naming N, unless it is finite and >= 0."""
-    if not 0.0 <= rec.chi_m < math.inf:
-        raise ValueError(f"chi_m must be finite and >= 0, got {rec.chi_m!r} at N={rec.n_sites}")
-    return rec.chi_m
+def _checked_peak(rec) -> PeakRecord:
+    """A PeakRecord read whole: size and lambda_m by ChainSpec, chi_m real, finite, >= 0."""
+    if not isinstance(rec, PeakRecord):
+        raise ValueError(f"peaks must hold PeakRecords, got {type(rec).__name__}")
+    spec, chi_m = ChainSpec(rec.n_sites, rec.lambda_m), _real(rec.chi_m, "chi_m")
+    if not 0.0 <= chi_m < math.inf:
+        raise ValueError(f"chi_m must be finite and >= 0, got {chi_m!r} at N={spec.n_sites}")
+    return PeakRecord(spec.n_sites, spec.lam, chi_m)
+
+
+def _read_pair(a, y, name: str):
+    """(a, y) read by ``_reals``, ``name`` naming a; ValueError unless 1-d of one length, finite."""
+    if np.ndim(a) != 1 or np.shape(a) != np.shape(y):
+        raise ValueError(f"{name} and y must be 1-d of one length, got shapes {np.shape(a)} and {np.shape(y)}")
+    a, y = _reals(a, name), _reals(y, "y")
+    if not (np.isfinite(a).all() and np.isfinite(y).all()):
+        raise ValueError(f"{name} and y must be finite")
+    return a, y
 
 
 def _r_squared(y, residuals) -> float:
@@ -249,23 +257,18 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    a ``peaks`` that is a mapping or holds anything but PeakRecords, an
-    n_sites that ChainSpec rejects (not an even integer >= 4), fewer than
-    two distinct sizes, a chi_m not finite and >= 0, or a slope of exactly 0
-    (c1 undetermined).
+    a ``peaks`` that is a mapping, a record that ``_checked_peak`` rejects
+    (each is read before any is sorted), fewer than two distinct sizes, or a
+    slope of exactly 0 (c1 undetermined).
     """
     if isinstance(peaks, Mapping):
         raise ValueError(f"peaks must be an iterable of PeakRecord, got {type(peaks).__name__}")
-    peaks = list(peaks)
-    for p in peaks:
-        if not isinstance(p, PeakRecord):
-            raise ValueError(f"peaks must hold PeakRecords, got {type(p).__name__}")
-    peaks.sort(key=lambda p: p.n_sites)
-    sizes = [ChainSpec(p.n_sites, 0.0).n_sites for p in peaks]
+    peaks = sorted(map(_checked_peak, peaks), key=lambda p: p.n_sites)
+    sizes = [p.n_sites for p in peaks]
     if len(set(sizes)) < 2:
         raise ValueError("need at least two distinct sizes for a line fit")
     x = np.log(sizes)
-    y = np.sqrt([_checked_chi_m(p) for p in peaks])
+    y = np.sqrt([p.chi_m for p in peaks])
     x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
     dx = x - x_mean
     slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
@@ -300,22 +303,17 @@ def fit_sq_log_model(x, y):
 
     Returns (a, d1, d2, r_squared).  Used with x = ln 1/|1 - lam| for the
     thermodynamic divergence; exposed separately so synthetic data can be
-    fitted directly.  Raises ValueError for x and y not 1-d of one length,
-    fewer than 4 points, an x or y not finite, x or x - mean(x) with fewer
-    than 3 distinct values, which leaves (a, d1, d2) undetermined, and a
-    curvature not resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which leaves d1
-    undetermined: on exactly linear data a is roundoff (~1e-16) and
-    d1 ~ 1/a, while real thermodynamic windows give at least 0.07; and for
-    an a or d1 beyond the range of a double.
+    fitted directly.  Raises ValueError for an x and y that ``_read_pair``
+    rejects, fewer than 4 points, x or x - mean(x) with fewer than 3 distinct
+    values, which leaves (a, d1, d2) undetermined, and a curvature not
+    resolved, |a| ptp(x)^2 <= 1e-8 ptp(y), which leaves d1 undetermined: on
+    exactly linear data a is roundoff (~1e-16) and d1 ~ 1/a, while real
+    thermodynamic windows give at least 0.07; and for an a or d1 beyond the
+    range of a double.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"x and y must be 1-d of one length, got shapes {x.shape} and {y.shape}")
+    x, y = _read_pair(x, y, "x")
     if x.size < 4:
         raise ValueError("need at least 4 points to fit (a, d1, d2)")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite")
     if np.all((x == x.min()) | (x == x.max())):  # fewer than 3 distinct values
         raise ValueError("x has fewer than 3 distinct values: "
                          "the three parameters (a, d1, d2) are not determined")
@@ -361,10 +359,10 @@ def fit_sq_log_model(x, y):
 def fit_thermo(lambdas) -> ScalingFit:
     """Fit the thermodynamic divergence chi(lam) = a (ln 1/|1-lam| + d1)^2 + d2.
 
-    ``lambdas`` is any iterable of couplings, each converted by ``float()``.
-    All couplings must be finite and lie strictly on one side of the critical
-    point; the fitted amplitude is compared against the finite-size one (they
-    agree analytically, which is what fixes the collapse exponent at 1).
+    ``lambdas`` is any iterable of couplings, read by ``_reals`` and each by
+    ``_checked_lam`` (the first it rejects is named), all strictly on one side
+    of the critical point.  The fitted amplitude is compared against the
+    finite-size one (they agree analytically, which fixes nu = 1).
 
     chi is evaluated for the whole window in one numpy pass through the
     formulas of ``susceptibility_thermo``, so the fit is bit for bit the fit of
@@ -374,10 +372,9 @@ def fit_thermo(lambdas) -> ScalingFit:
     first coupling that the scalar path rejects.  chi comes before x, so a
     window that raises computes no logarithm.
     """
-    lam = np.fromiter(map(float, lambdas), dtype=float)
-    finite = np.isfinite(lam)
-    if not finite.all():
-        raise ValueError(f"couplings must be finite, got lam={float(lam[finite.argmin()])!r}")
+    lam = _reals(lambdas, "lam")
+    if not (np.isfinite(lam).all() and (lam >= 0.0).all()):  # isfinite first: no NaN compared
+        list(map(_checked_lam, lam.tolist()))  # raises at the first coupling the rule rejects
     if len(lam) < 4:
         raise ValueError("need at least 4 couplings")
     if (lam == 1.0).any():
@@ -404,6 +401,14 @@ def fit_thermo(lambdas) -> ScalingFit:
     return ScalingFit(slope=a, intercept=d2, r_squared=r_sq, params=params)
 
 
+def _checked_nu(nu) -> float:
+    """The collapse exponent read by ``_real``; ValueError unless finite."""
+    nu = _real(nu, "nu")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
+    return nu
+
+
 def _size_factor(n: int, nu: float) -> float:
     """N^(nu-1) of a size already read through ChainSpec; ValueError, naming
     N and nu, if it overflows."""
@@ -421,15 +426,14 @@ class CollapseCurve:
     w = N (lam - lam_m) and y = sqrt(chi_m) - sqrt(chi(lam)).  ``by_size``
     derives x = N^nu (lam - lam_m) = N^(nu-1) w, so ``replace(curve, nu=...)``
     rescales without resampling.  At nu = 1 the sizes trace one function.
-    ``nu`` must be a real number; the samples are checked when read.
+    ``nu`` is read by ``_checked_nu``; the samples are checked when read.
     """
 
     samples: dict
     nu: float
 
     def __post_init__(self):
-        if not isinstance(self.nu, Real):
-            raise ValueError(f"nu must be a real number, got {self.nu!r}")
+        object.__setattr__(self, "nu", _checked_nu(self.nu))
 
     def by_size(self) -> dict:
         """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x
@@ -450,10 +454,10 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError for a
-    size that ChainSpec rejects (not an even integer >= 4) or a ``peaks``
-    that is not None or a mapping, before any peak is searched, and before
-    sampling a size whose record in ``peaks`` is of another N or has a chi_m
-    not finite and >= 0, or whose window reaches lam < 0, as at N <= 10.
+    ``nu`` that ``_checked_nu`` rejects, a size that ChainSpec rejects or a
+    ``peaks`` that is not None or a mapping, before any peak is searched, and
+    before sampling a size whose record in ``peaks`` ``_checked_peak``
+    rejects or is of another N, or whose window reaches lam < 0, as at N <= 10.
 
     The 40 samples off the peak are evaluated in one pass over couplings x
     modes through the formulas of ``susceptibility``, so each is bitwise
@@ -462,6 +466,7 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     ``susceptibility``, in sample order, so a size raises the exception, with
     the message, of its first sample that the scalar path rejects.
     """
+    nu = _checked_nu(nu)
     sizes = sorted(set(ChainSpec(n, 0.0).n_sites for n in sizes))
     if not sizes:
         raise ValueError("need at least one size")
@@ -471,10 +476,10 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     offsets = np.linspace(*_COLLAPSE_WINDOW, _COLLAPSE_POINTS)
     samples = {}
     for n in sizes:
-        rec = peaks[n] if n in peaks else find_peak(n)
+        rec = _checked_peak(peaks[n]) if n in peaks else find_peak(n)
         if rec.n_sites != n:
             raise ValueError(f"peaks[{n}] is the peak record of N={rec.n_sites}, not of N={n}")
-        sqrt_peak = math.sqrt(_checked_chi_m(rec))
+        sqrt_peak = math.sqrt(rec.chi_m)
         low = rec.lambda_m + _COLLAPSE_WINDOW[0] / n
         if low < 0.0:
             raise ValueError(f"the collapse window at N={n} starts at lam = lam_m - 10/N = "
@@ -488,24 +493,21 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
         for i in np.flatnonzero(~ok):
             chi[i] = susceptibility(n, lams[i])
         samples[n] = (offsets, sqrt_peak - np.sqrt(chi))
-    return CollapseCurve(samples=samples, nu=float(nu))
+    return CollapseCurve(samples=samples, nu=nu)
 
 
 def _read_samples(curve: CollapseCurve) -> dict:
-    """``curve``'s samples keyed by size as a plain int, sizes ascending, each
-    (w, y) as float arrays, checked at every read since they are mutable.
-    ValueError for a key that ChainSpec rejects, before any key is compared,
-    then for the first pair in size order that is not 1-d of one length >= 2,
-    finite, with w strictly increasing."""
+    """``curve``'s samples keyed by size as a plain int, sizes ascending, read at
+    every read since they are mutable.  ValueError for a key that ChainSpec
+    rejects, before any key is compared, then for the first (w, y) in size order
+    that ``_read_pair`` rejects, shorter than 2 or with w not strictly increasing."""
     sized = {ChainSpec(n, 0.0).n_sites: s for n, s in curve.samples.items()}
-    samples = {n: tuple(np.asarray(a, dtype=float) for a in sized[n]) for n in sorted(sized)}
-    for w, y in samples.values():
-        if w.ndim != 1 or w.shape != y.shape:
-            raise ValueError(f"w and y must be 1-d of one length, got shapes {w.shape} and {y.shape}")
+    samples = {}
+    for n in sorted(sized):
+        w, y = sized[n]
+        w, y = samples[n] = _read_pair(w, y, "w")
         if w.size < 2:
             raise ValueError("need at least 2 points to interpolate")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
-            raise ValueError("w and y must be finite")
         if not np.all(w[1:] > w[:-1]):
             raise ValueError("w must be strictly increasing")
     return samples
@@ -566,10 +568,9 @@ def collapse_quality(curve: CollapseCurve) -> float:
     Curves are compared at 101 evenly spaced x of their common window by
     linear interpolation, which does not overshoot.  Identical curves give
     0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
-    ValueError for a size that ChainSpec rejects, fewer than 2 sizes (one
-    curve has no spread), per-size samples that are not 1-d of one length
-    >= 2, finite, with w strictly increasing, an N^(nu-1) that overflows,
-    and an empty overlap window.
+    ValueError for samples that ``_read_samples`` rejects, fewer than 2 sizes
+    (one curve has no spread), an N^(nu-1) that overflows, and an empty
+    overlap window.
     """
     return _collapse_scorer(curve)(curve.nu)
 

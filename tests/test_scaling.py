@@ -480,7 +480,7 @@ class TestFitThermo:
     ])
     def test_non_finite_coupling_rejected(self, window):
         bad = next(l for l in window if not math.isfinite(l))
-        with pytest.raises(ValueError, match=re.escape(f"couplings must be finite, got lam={bad!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {bad!r}")):
             fit_thermo(window)
 
 
