@@ -7,7 +7,9 @@ error.
 
 Each option is declared once, in `_OPTIONS` (its flag, config-file key,
 parser, default and help), and each command once, in `_COMMANDS`: add an
-option or a command there and nowhere else.
+option or a command there and nowhere else.  One parser takes every command
+and option, in any order, and keeps each flag's text, which `_read_option`
+reads as it reads a config-file value.
 """
 
 from __future__ import annotations
@@ -102,9 +104,21 @@ _OPTIONS = {
     "delta": (float, 1e-4, "oracle base step (default 1e-4)"),
     "nu": (float, 1.0, "collapse exponent (default 1)"),
     "verify": (_parse_bool, False, "run the fidelity oracle alongside the closed form"),
-    "format": (str, "csv", None),
+    "format": (str, "csv", "output format, csv or json (default csv)"),
     "out": (str, None, "output path (default stdout)"),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_option(key: str, text: str, where: str):
+    """``key``'s value from ``text`` by its ``_OPTIONS`` parser; its ValueError names ``where``."""
+    try:
+        return _OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -126,37 +140,23 @@ def load_config_file(path: str) -> dict:
             value = value.strip()
             if key not in _OPTIONS:
                 raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _OPTIONS[key][0](value)
-            except ValueError as exc:  # includes UsageError
-                raise UsageError(f"{path}:{line_no}: {key} = {value}: {exc}") from None
+            values[key] = _read_option(key, value, f"{path}:{line_no}: {key} = {value}")
     return values
 
 
 @functools.cache  # built on first use, once per process: a build takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tfim-rfs",
-        description=(
-            "Two-site reduced fidelity susceptibility of the transverse-field "
-            "Ising chain: exact sweeps, peak scaling, and data collapse."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        for key, (parse, _, option_help) in _OPTIONS.items():
-            flag = "--" + key.replace("_", "-")
-            if parse is _parse_bool:
-                cmd.add_argument(flag, action="store_true", default=None, help=option_help)
-            else:
-                # argparse converts only numbers; text such as --sizes is parsed
-                # in resolve_config, so a bad list exits 2 with our own message.
-                cmd.add_argument(flag, type=parse if parse in (int, float) else str,
-                                 choices=_FORMATS if key == "format" else None,
-                                 default=None, help=option_help)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="flat key=value config file; flags take precedence")
+        prog="tfim-rfs", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Two-site reduced fidelity susceptibility of the transverse-field Ising\n"
+                    "chain: exact sweeps, peak scaling, and data collapse.",
+        epilog="commands:\n" + "\n".join(f"  {name:<12} {entry[2]}"
+                                         for name, entry in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="listed below")
+    for key, (parse, _, option_help) in _OPTIONS.items():
+        bare = {"action": "store_const", "const": "true"} if parse is _parse_bool else {}
+        parser.add_argument(_flag(key), help=option_help, **bare)  # a bare flag reads "true"
+    parser.add_argument("--config", help="flat key=value config file; flags take precedence")
     return parser
 
 
@@ -165,10 +165,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config is not None:
         merged.update(load_config_file(args.config))
-    for key, (parse, _, _) in _OPTIONS.items():
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = parse(value) if isinstance(value, str) else value
+    for key in _OPTIONS:
+        text = getattr(args, key)
+        if text is not None:
+            merged[key] = _read_option(key, text, f"{_flag(key)} {text}")
     # The other options share their RunConfig field's name.
     sizes = tuple(sorted(set(merged.pop("sizes"))))
     return RunConfig(command=args.command, sizes=sizes, output_format=merged.pop("format"),

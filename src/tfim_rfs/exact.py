@@ -102,6 +102,13 @@ def _checked_lam(lam) -> float:
     return lam
 
 
+def _checked_spec(spec) -> ChainSpec:
+    """``spec`` itself; ValueError unless a ChainSpec, whose fields were read when it was made."""
+    if not isinstance(spec, ChainSpec):
+        raise ValueError(f"spec must be a ChainSpec, got {spec!r}")
+    return spec
+
+
 def _slot_init(cls):
     """Replace the ``__init__`` of a frozen slotted dataclass by one that stores
     each argument through its slot's member descriptor, then calls
@@ -352,8 +359,10 @@ def correlators_finite(spec: ChainSpec) -> CorrelatorSet:
     the sums are pairwise means over the N/2 positive momenta.  Raises
     ValueError for lam above about 1.34e154, where (1 - lam)^2 overflows.
     Memoized on the 64 most recently used specs: a repeated spec returns
-    the frozen record of its first evaluation.
+    the frozen record of its first evaluation.  A spec that is not a
+    ChainSpec raises ValueError (an unhashable one the memo's TypeError).
     """
+    spec = _checked_spec(spec)  # in the memoized body: a hit reads nothing
     return CorrelatorSet(*_finite_fields(spec.lam, *_finite_sums(spec, curvature=False)))
 
 

@@ -38,8 +38,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._read import _real
-from .exact import (_MAX_MAGNITUDE, ChainSpec, _correlators_finite_array, _correlators_thermo_array,
-                    _finite_curvature, _slot_init, correlators_finite, correlators_thermo)
+from .exact import (_MAX_MAGNITUDE, ChainSpec, _checked_spec, _correlators_finite_array,
+                    _correlators_thermo_array, _finite_curvature, _slot_init, correlators_finite,
+                    correlators_thermo)
 from .rdm import TwoSiteRdm, _element_derivatives, _elements, build_rdm
 
 __all__ = [
@@ -193,9 +194,9 @@ def rfs_oracle(spec: ChainSpec, delta: float = 1e-4) -> RfsValue:
     (chi < 1e-5 at N = 64, lam >= 12), the discrepancy means nothing.
 
     Records, where the closed form applies, the relative discrepancy
-    against it.
+    against it.  ValueError for a spec that is not a ChainSpec, read first.
     """
-    delta = _checked_delta(delta)
+    spec, delta = _checked_spec(spec), _checked_delta(delta)
     if spec.lam - delta < 0.0:
         raise ValueError(f"lam={spec.lam} too close to zero for step {delta}")
 

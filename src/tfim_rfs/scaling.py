@@ -21,7 +21,7 @@ x / N^(nu-1), so a trial exponent rescales the curves without resampling.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +232,13 @@ def _checked_peak(rec) -> PeakRecord:
     return PeakRecord(spec.n_sites, spec.lam, chi_m)
 
 
+def _sizes(sizes) -> list:
+    """``sizes``, any iterable, read once into a list; ValueError naming its type otherwise."""
+    if not isinstance(sizes, Iterable):
+        raise ValueError(f"sizes must be an iterable of int, got {type(sizes).__name__}")
+    return list(sizes)
+
+
 def _read_pair(a, y, name: str):
     """(a, y) read by ``_reals``, ``name`` naming a; ValueError unless 1-d of one length, finite."""
     if np.ndim(a) != 1 or np.shape(a) != np.shape(y):
@@ -257,11 +264,11 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    a ``peaks`` that is a mapping, a record that ``_checked_peak`` rejects
-    (each is read before any is sorted), fewer than two distinct sizes, or a
-    slope of exactly 0 (c1 undetermined).
+    a ``peaks`` that is a mapping or not iterable, a record that
+    ``_checked_peak`` rejects (each is read before any is sorted), fewer than
+    two distinct sizes, or a slope of exactly 0 (c1 undetermined).
     """
-    if isinstance(peaks, Mapping):
+    if isinstance(peaks, Mapping) or not isinstance(peaks, Iterable):
         raise ValueError(f"peaks must be an iterable of PeakRecord, got {type(peaks).__name__}")
     peaks = sorted(map(_checked_peak, peaks), key=lambda p: p.n_sites)
     sizes = [p.n_sites for p in peaks]
@@ -454,10 +461,11 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     [-10, 10], the same for every size; ``nu`` only sets how the curve scales
     them to x.  Peak records are taken from ``peaks`` (a mapping n_sites ->
     PeakRecord) or computed for the sizes it lacks.  Raises ValueError for a
-    ``nu`` that ``_checked_nu`` rejects, a size that ChainSpec rejects or a
-    ``peaks`` that is not None or a mapping, before any peak is searched, and
-    before sampling a size whose record in ``peaks`` ``_checked_peak``
-    rejects or is of another N, or whose window reaches lam < 0, as at N <= 10.
+    ``nu`` that ``_checked_nu`` rejects, ``sizes`` that ``_sizes`` rejects, a
+    size that ChainSpec rejects or a ``peaks`` that is not None or a mapping,
+    before any peak is searched, and before sampling a size whose record in
+    ``peaks`` ``_checked_peak`` rejects or is of another N, or whose window
+    reaches lam < 0, as at N <= 10.
 
     The 40 samples off the peak are evaluated in one pass over couplings x
     modes through the formulas of ``susceptibility``, so each is bitwise
@@ -467,7 +475,7 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     the message, of its first sample that the scalar path rejects.
     """
     nu = _checked_nu(nu)
-    sizes = sorted(set(ChainSpec(n, 0.0).n_sites for n in sizes))
+    sizes = sorted(set(ChainSpec(n, 0.0).n_sites for n in _sizes(sizes)))
     if not sizes:
         raise ValueError("need at least one size")
     if not isinstance(peaks, (Mapping, type(None))):
@@ -498,9 +506,13 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
 
 def _read_samples(curve: CollapseCurve) -> dict:
     """``curve``'s samples keyed by size as a plain int, sizes ascending, read at
-    every read since they are mutable.  ValueError for a key that ChainSpec
-    rejects, before any key is compared, then for the first (w, y) in size order
-    that ``_read_pair`` rejects, shorter than 2 or with w not strictly increasing."""
+    every read since they are mutable.  ValueError for samples that are not a
+    mapping, for a key that ChainSpec rejects, before any key is compared, then
+    for the first (w, y) in size order that ``_read_pair`` rejects, shorter
+    than 2 or with w not strictly increasing."""
+    if not isinstance(curve.samples, Mapping):
+        raise ValueError("samples must be a mapping n_sites -> (w, y), "
+                         f"got {type(curve.samples).__name__}")
     sized = {ChainSpec(n, 0.0).n_sites: s for n, s in curve.samples.items()}
     samples = {}
     for n in sorted(sized):
@@ -578,14 +590,14 @@ def collapse_quality(curve: CollapseCurve) -> float:
 def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
-    ``sizes`` is any iterable of sizes, read once.  The curves are sampled
-    once, at nu = 1, and checked once; each trial exponent scores them as
-    ``collapse_quality`` with nu replaced would.  Golden-section search stops
+    ``sizes`` is any iterable of sizes, read once by ``_sizes``.  The curves
+    are sampled once, at nu = 1, and checked once; each trial exponent scores
+    them as ``collapse_quality`` with nu replaced would.  Golden-section search stops
     at a bracket narrower than 1e-3.  Raises ValueError for a size that
     ChainSpec rejects, for fewer than 2 distinct sizes (one curve fits every
     nu), and for a ``peaks`` that ``data_collapse`` rejects.
     """
-    sizes = list(sizes)
+    sizes = _sizes(sizes)
     if len(set(ChainSpec(n, 0.0).n_sites for n in sizes)) < 2:
         raise ValueError(f"the collapse exponent needs at least 2 distinct sizes, got {sizes}")
     score = _collapse_scorer(data_collapse(sizes, peaks=peaks))

@@ -286,6 +286,39 @@ def test_collapse_below_twelve_sites_names_the_size(capsys):
     assert "N=8" in err and "lam_m = 0.9054342433103578" in err and "N >= 12" in err
 
 
+# Per option: a text that its _OPTIONS parser (or, for format, RunConfig)
+# rejects, and the message, which names no source.  --verify takes no text
+# on the command line, so its bad text has only a config line.
+_BAD_TEXT = {
+    "sizes": ("64,x", "cannot parse sizes '64,x'; expected e.g. 512,1024"),
+    "lambda_min": ("low", "could not convert string to float: 'low'"),
+    "lambda_max": ("0.9.1", "could not convert string to float: '0.9.1'"),
+    "steps": ("1.5", "invalid literal for int() with base 10: '1.5'"),
+    "delta": ("1e-4x", "could not convert string to float: '1e-4x'"),
+    "nu": ("one", "could not convert string to float: 'one'"),
+    "verify": ("maybe", "cannot parse boolean 'maybe'"),
+    "format": ("xml", "format must be csv or json, got 'xml'"),
+}
+
+
+def _bad_text_cases():
+    """Each bad text as a config line and as a flag: one reader, one message,
+    after the name of where the text came from."""
+    cases = []
+    for key, (text, message) in _BAD_TEXT.items():
+        flag = "--" + key.replace("_", "-")
+        sources = {"config": (f"{key} = {text}\n", [], f"run.cfg:1: {key} = {text}: ")}
+        if key != "verify":
+            sources["flag"] = ("", [flag, text], f"{flag} {text}: ")
+        for source, (config, flags, where) in sources.items():
+            where = "" if key == "format" else where  # RunConfig's check names no source
+            cases.append(pytest.param(config, flags, 2, where + message, id=f"{source}-{key}"))
+    return cases
+
+
+_BAD_TEXT_CASES = _bad_text_cases()
+
+
 @pytest.mark.parametrize("config,flags,code,message", [
     ("format = xml\n", [], 2, "format must be csv or json, got 'xml'"),
     ("sizes = 12\nsteps\n", [], 2, "run.cfg:2: expected 'key = value'"),
@@ -299,8 +332,9 @@ def test_collapse_below_twelve_sites_names_the_size(capsys):
      "run.cfg:2: steps = 1.5: invalid literal for int() with base 10: '1.5'"),
     ("lambda_min = abc\n", [], 2,
      "run.cfg:1: lambda_min = abc: could not convert string to float: 'abc'"),
+    *_BAD_TEXT_CASES,
 ], ids=["format_xml", "no_equals", "verify_maybe", "verify_off", "sizes_text", "nu_nan",
-        "steps_float", "lambda_text"])
+        "steps_float", "lambda_text", *(case.id for case in _BAD_TEXT_CASES)])
 def test_config_and_flag_values_checked(config, flags, code, message, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(config)
@@ -410,6 +444,32 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["does-not-exist"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["peak", "--help"], ["--sizes", "64", "-h"]],
+                         ids=["bare", "after-command", "after-option"])
+def test_help_lists_every_command_and_option(argv, capsys):
+    # Names only: argparse lays the page out differently across Python
+    # versions, and from 3.14 colours it where FORCE_COLOR is set.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr().out
+    assert info.value.code == 0
+    plain = re.sub(r"\x1b\[[0-9;]*m", "", out)
+    for name, (_, _, help_text) in tfim_rfs.cli._COMMANDS.items():
+        assert re.search(rf"^\s+{name}\s+{re.escape(help_text)}$", plain, flags=re.M), name
+    for flag in [*("--" + key.replace("_", "-") for key in _OPTIONS), "--config", "--help"]:
+        assert re.search(rf"(^|\s){flag}\b", plain), flag
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == out  # one page, wherever --help stands
+
+
+def test_options_may_precede_the_command(capsys):
+    assert run_cli(["--sizes", "64,128", "peak"], capsys) == \
+        run_cli(["peak", "--sizes", "64,128"], capsys)
+    assert run_cli(["--steps", "2", "--verify", "sweep", "--sizes", "12"], capsys) == \
+        run_cli(["sweep", "--sizes", "12", "--steps", "2", "--verify"], capsys)
 
 
 def test_config_file_then_flags(tmp_path, capsys):

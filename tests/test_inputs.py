@@ -6,7 +6,8 @@ with the exact message; pytest turns any numpy RuntimeWarning into an error,
 so the message comes before any warning.  The kinds are those of the README's
 input table: a coupling, the collapse exponent nu, the elliptic modulus k,
 the oracle step delta, a peak record's chi_m, and sample arrays.  A value that
-a kind accepts (nu = -1.0, a 0-d array inside an array) has no row.
+a kind accepts (nu = -1.0, a 0-d array inside an array) has no row.  Below
+it, a spec or a collection of the wrong type is named with its type.
 """
 
 import math
@@ -20,7 +21,9 @@ from tfim_rfs import (
     ChainSpec,
     CollapseCurve,
     PeakRecord,
+    best_collapse_exponent,
     collapse_quality,
+    correlators_finite,
     correlators_thermo,
     data_collapse,
     elliptic_e,
@@ -312,3 +315,37 @@ def test_collapse_reads_nu_before_any_peak_search(monkeypatch):
     for nu in (None, "1.5", math.nan):
         with pytest.raises(ValueError, match="^nu must be"):
             data_collapse([64, 128], nu=nu)
+
+
+# A spec, or a collection, of the wrong type: named with its type before any
+# of it is used.  Each used to raise a bare AttributeError or TypeError.
+@pytest.mark.parametrize("call,message", [
+    (lambda: correlators_finite((64, 0.5)), "spec must be a ChainSpec, got (64, 0.5)"),
+    (lambda: rfs_oracle((64, 0.5)), "spec must be a ChainSpec, got (64, 0.5)"),
+    (lambda: rfs_oracle([64, 0.5], "1e-4"), "spec must be a ChainSpec, got [64, 0.5]"),
+    (lambda: fit_finite_size(None), "peaks must be an iterable of PeakRecord, got NoneType"),
+    (lambda: data_collapse(None), "sizes must be an iterable of int, got NoneType"),
+    (lambda: best_collapse_exponent(64), "sizes must be an iterable of int, got int"),
+    (lambda: collapse_quality(CollapseCurve([(1, 2)], 1.0)),
+     "samples must be a mapping n_sites -> (w, y), got list"),
+    (lambda: CollapseCurve(None, 1.0).by_size(),
+     "samples must be a mapping n_sites -> (w, y), got NoneType"),
+], ids=["correlators_finite-tuple", "rfs_oracle-tuple", "rfs_oracle-list-first",
+        "fit_finite_size-none", "data_collapse-none", "best_collapse_exponent-int",
+        "collapse_quality-list", "by_size-none"])
+def test_wrong_type_is_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_spec_is_read_in_the_memoized_body():
+    # A hashable non-spec misses the memo and is rejected there, and is not
+    # stored; an unhashable one gets the memo's own TypeError.
+    before = correlators_finite.cache_info()
+    with pytest.raises(ValueError, match="^spec must be a ChainSpec"):
+        correlators_finite((64, 0.5))
+    after = correlators_finite.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+    with pytest.raises(TypeError, match="unhashable type"):
+        correlators_finite([64, 0.5])
