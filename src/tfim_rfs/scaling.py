@@ -75,10 +75,10 @@ _NU_TOL = 1e-3
 
 # The measured peak shift: sqrt(N^2 (1 - lam_m)) is 0.5746 ln N + 1.0677 by
 # least squares over N = 2^9..2^20, which holds N^2 (1 - lam_m) to 0.5 % from
-# N = 512 up.  find_peak brackets the peak at 1 % of the shift either side.
+# N = 512 up.  find_peak brackets the peak at 1 % of the shift either side,
+# which holds it at every even N from 42 up and misses it at N <= 40.
 _PEAK_SHIFT_SLOPE = 0.5746
 _PEAK_SHIFT_INTERCEPT = 1.0677
-_PEAK_SHIFT_MIN_SITES = 512
 _PEAK_SHIFT_WIDTH = 0.01
 
 
@@ -91,7 +91,7 @@ class PeakSearchError(ValueError):
 @dataclass(frozen=True)
 class PeakRecord:
     """The local maximum of chi(lam) at fixed chain size: the one sign change
-    of its slope in 1 +- 2/N, found from N = 512 up inside the narrower
+    of its slope in 1 +- 2/N, found from N = 42 up inside the narrower
     bracket of the measured peak shift."""
 
     n_sites: int
@@ -195,24 +195,21 @@ def find_peak(n_sites: int) -> PeakRecord:
     to negative, and Brent's method narrows that sign change down to adjacent
     doubles; chi_m = ``susceptibility(n_sites, lam_m)``.
 
-    From N = 512 up the search opens on 1 - c (1 +- 1 %) / N^2, with
-    c = (0.5746 ln N + 1.0677)^2 the measured peak shift, which holds
-    N^2 (1 - lam_m) to 0.5 % there.  Below N = 512, or where the slope does
-    not fall through zero across that bracket, it opens on [1 - 2/N, 1 + 2/N]
-    instead, and PeakSearchError is raised unless the slope falls through zero
-    across that one.  Brent's root does not depend on which bracket holds it,
-    so both give the same bits.
+    The search opens on 1 - c (1 +- 1 %) / N^2, with c = (0.5746 ln N + 1.0677)^2
+    the measured peak shift, which holds the peak at every even N from 42 up.
+    Where the slope does not fall through zero across that bracket (N <= 40)
+    it opens on [1 - 2/N, 1 + 2/N] instead, and PeakSearchError is raised
+    unless the slope falls through zero across that one.  Brent's root does
+    not depend on which bracket holds it, so both give the same bits.
     """
     n_sites = ChainSpec(n_sites, 1.0).n_sites  # a plain int; a bad N raises before 2/N
 
     def slope(lam):
         return susceptibility_slope(n_sites, lam)
 
-    brackets = [(1.0 - 2.0 / n_sites, 1.0 + 2.0 / n_sites)]
-    if n_sites >= _PEAK_SHIFT_MIN_SITES:
-        shift = ((_PEAK_SHIFT_SLOPE * math.log(n_sites) + _PEAK_SHIFT_INTERCEPT) / n_sites) ** 2
-        brackets.insert(0, (1.0 - (1.0 + _PEAK_SHIFT_WIDTH) * shift,
-                            1.0 - (1.0 - _PEAK_SHIFT_WIDTH) * shift))
+    shift = ((_PEAK_SHIFT_SLOPE * math.log(n_sites) + _PEAK_SHIFT_INTERCEPT) / n_sites) ** 2
+    brackets = ((1.0 - (1.0 + _PEAK_SHIFT_WIDTH) * shift, 1.0 - (1.0 - _PEAK_SHIFT_WIDTH) * shift),
+                (1.0 - 2.0 / n_sites, 1.0 + 2.0 / n_sites))
     for lo, hi in brackets:
         slope_lo, slope_hi = slope(lo), slope(hi)
         if slope_lo > 0.0 > slope_hi:

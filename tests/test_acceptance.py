@@ -29,22 +29,11 @@ from tfim_rfs import (
     rfs_oracle,
 )
 from tfim_rfs.cli import main as cli_main
-
-CRITICAL = {
-    "sz": 2.0 / math.pi,
-    "xx": 2.0 / math.pi,
-    "yy": -2.0 / (3.0 * math.pi),
-    "zz": 16.0 / (3.0 * math.pi ** 2),
-}
+from shared import CRITICAL, fd6
 
 
 def report(number, name, ok, detail):
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def fd6(fn, x, h=1e-5):
-    return (-fn(x - 3 * h) + 9 * fn(x - 2 * h) - 45 * fn(x - h)
-            + 45 * fn(x + h) - 9 * fn(x + 2 * h) + fn(x + 3 * h)) / (60 * h)
 
 
 def test_criterion_1_critical_point_correlators():

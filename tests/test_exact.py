@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, make_dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,21 +36,7 @@ from tfim_rfs.exact import (
     _finite_curvature,
     _slot_init,
 )
-
-FIELDS = ("sz", "xx", "yy", "zz")
-DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
-
-
-def _bits(c):
-    return [getattr(c, name).hex() for name in FIELDS + DERIVS]
-
-
-CRITICAL = {
-    "sz": 2.0 / math.pi,
-    "xx": 2.0 / math.pi,
-    "yy": -2.0 / (3.0 * math.pi),
-    "zz": 16.0 / (3.0 * math.pi ** 2),
-}
+from shared import CRITICAL, DERIVS, FIELDS, PLAIN_LAMS, fd6, field_bits, momentum_grid
 
 
 # float.hex of sz, xx, yy, zz, d_sz, d_xx, d_yy, d_zz and of the second
@@ -202,21 +187,6 @@ THERMO_PINS = {
 }
 
 
-def fd6(fn, x, h=1e-5):
-    # 6th-order central difference; truncation stays below 1e-7 even where
-    # the 2-point stencil would not.
-    return (-fn(x - 3 * h) + 9 * fn(x - 2 * h) - 45 * fn(x - h)
-            + 45 * fn(x + h) - 9 * fn(x + 2 * h) + fn(x + 3 * h)) / (60 * h)
-
-
-def momentum_grid(n_sites):
-    """Mode angles phi_q = 2 pi q / N for half-odd q in {-M, ..., M}, M = (N-1)/2:
-    the N angles lie in (-pi, pi), symmetric under negation, never 0 or +-pi."""
-    m = (n_sites - 1) / 2.0
-    q = np.arange(-m, m + 1.0)
-    return 2.0 * math.pi * q / n_sites
-
-
 class TestMomentumGrid:
     def test_four_sites(self):
         phi = momentum_grid(4)
@@ -257,11 +227,11 @@ class TestChainSpec:
         # ChainSpec(8, -0.0) equals ChainSpec(8, 0.0) and hashes alike, so the
         # memo returns whichever record was asked for first; d_sz = -lam d_xx
         # gives each sign of zero its own bits unless lam is normalized.
-        expected = _bits(_finite_curvature(ChainSpec(8, 0.0))[0])
+        expected = field_bits(_finite_curvature(ChainSpec(8, 0.0))[0])
         for order in ((0.0, -0.0), (-0.0, 0.0)):
             correlators_finite.cache_clear()
             for lam in order:
-                assert _bits(correlators_finite(ChainSpec(8, lam))) == expected, order
+                assert field_bits(correlators_finite(ChainSpec(8, lam))) == expected, order
         assert ChainSpec(8, -0.0).lam.hex() == "0x0.0p+0"
 
 
@@ -298,17 +268,6 @@ class TestOneCouplingRule:
             entry(lam)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("lam", [2, np.float64(0.7), Fraction(7, 10)],
-                             ids=["int", "float64", "fraction"])
-    def test_real_number_gives_the_bits_of_its_float(self, lam):
-        value = float(lam)
-        assert ChainSpec(64, lam).lam.hex() == value.hex()
-        assert _bits(correlators_finite(ChainSpec(64, lam))) == \
-            _bits(correlators_finite(ChainSpec(64, value)))
-        assert susceptibility(64, lam).hex() == susceptibility(64, value).hex()
-        assert _bits(correlators_thermo(lam)) == _bits(correlators_thermo(value))
-        assert susceptibility_thermo(lam).hex() == susceptibility_thermo(value).hex()
-
 
 class TestFiniteCorrelators:
     def test_zero_coupling_polarized(self):
@@ -327,6 +286,21 @@ class TestFiniteCorrelators:
         c = correlators_finite(ChainSpec(n, 1.0))
         for name in FIELDS:
             assert getattr(c, name) == pytest.approx(CRITICAL[name], abs=1.0 / n)
+
+    @pytest.mark.parametrize("n", [4, 12, 64, 1024, 2 ** 16, 2 ** 18, 2 ** 20])
+    def test_critical_closed_forms(self, n):
+        # At lam = 1 the sums close: sz = xx = 1/(N sin(pi/2N)), and
+        # d_xx = (C(N) - sz)/2 with C(N) = (2/N) sum_{j<N/2} csc((j + 1/2) pi/N),
+        # here in 40-digit mpmath, sharing no summand with the library.
+        mp = pytest.importorskip("mpmath")
+        c = correlators_finite(ChainSpec(n, 1.0))
+        with mp.workdps(40):
+            sz = 1 / (n * mp.sin(mp.pi / (2 * n)))
+            assert max(abs(c.sz - sz), abs(c.xx - sz)) <= 2 * math.ulp(float(sz))
+            if n <= 1024:
+                csc_sum = mp.fsum(mp.csc((j + mp.mpf(0.5)) * mp.pi / n) for j in range(n // 2))
+                d_xx = (2 * csc_sum / n - sz) / 2
+                assert abs(c.d_xx - d_xx) <= 2 * math.ulp(float(d_xx))
 
     @pytest.mark.parametrize("lam", [0.2, 0.8, 1.0, 1.3, 2.5])
     @pytest.mark.parametrize("n", [64, 1024])
@@ -436,14 +410,6 @@ def _plain_sums(n, lam):
     return [float(np.sum(t)) / len(s) for t in summands]
 
 
-# Couplings at which every in-place summand must round as its plain
-# expression does.  5e-324 and 1e-310 are subnormal; at 1e102 the product
-# s (1 - s) / omega^3 is subnormal at N = 12, so the 4 of sin^2 phi = 4 s (1 - s)
-# cannot be moved out of it.
-PLAIN_LAMS = (0.0, 5e-324, 1e-310, 1e-300, 1e-9, 0.005, 0.7, 1.0 - 2.0 ** -52, 1.0,
-              1.0 + 2.0 ** -52, 1.0003, 3.0, 1e8, 1e102, 1e150)
-
-
 def _assert_plain(n):
     for lam in PLAIN_LAMS:
         c, (_, d2_xx, d2_yy, _) = _finite_curvature(ChainSpec(n, lam))
@@ -489,8 +455,7 @@ class TestFiniteSumsInPlace:
             spec = ChainSpec(n, lam)
             c, second = _finite_curvature(spec)
             assert correlators_finite(spec) == c
-            bits = [getattr(c, name).hex() for name in FIELDS + DERIVS]
-            assert bits + [d.hex() for d in second] == row.split(), f"N={n}, lam={lam!r}"
+            assert field_bits(c) + [d.hex() for d in second] == row.split(), f"N={n}, lam={lam!r}"
 
     def test_interleaved_calls_do_not_alias(self):
         # The work arrays hold nothing between calls, and the shared table stays read-only.
@@ -616,7 +581,7 @@ class TestFiniteMemo:
         correlators_finite.cache_clear()
         for lam in PLAIN_LAMS:
             first = correlators_finite(ChainSpec(n, lam))
-            assert _bits(first) == _bits(_finite_curvature(ChainSpec(n, lam))[0]), lam
+            assert field_bits(first) == field_bits(_finite_curvature(ChainSpec(n, lam))[0]), lam
             assert correlators_finite(ChainSpec(n, lam)) is first
 
     def test_repeated_spec_is_one_miss_then_a_hit(self):
@@ -638,14 +603,14 @@ class TestFiniteMemo:
         # More threads than cores, switching often, on a few shared specs, so
         # that misses on one spec race each other.
         specs = [ChainSpec(2 ** 16, lam) for lam in (0.9996, 1.0, 1.5, 3.0)]
-        expected = [_bits(_finite_curvature(spec)[0]) for spec in specs]
+        expected = [field_bits(_finite_curvature(spec)[0]) for spec in specs]
         correlators_finite.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(correlators_finite, spec) for spec in specs * 8]
-                got = [_bits(future.result(timeout=60)) for future in futures]
+                got = [field_bits(future.result(timeout=60)) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert got == expected * 8
@@ -804,8 +769,7 @@ class TestThermoPinnedBits:
     @pytest.mark.parametrize("lam", sorted(THERMO_PINS))
     def test_pinned_bits(self, lam):
         c = correlators_thermo(lam)
-        bits = [getattr(c, name).hex() for name in FIELDS + DERIVS]
-        assert bits + [susceptibility_thermo(lam).hex()] == THERMO_PINS[lam].split()
+        assert field_bits(c) + [susceptibility_thermo(lam).hex()] == THERMO_PINS[lam].split()
 
     @pytest.mark.parametrize("lam,error", [
         (1.0 - 1e-10, ValueError),       # k rounds to 1

@@ -37,6 +37,7 @@ from tfim_rfs import (
     susceptibility_thermo,
 )
 from tfim_rfs.cli import RunConfig
+from shared import field_bits
 
 BAD = {
     "str": "0.5",
@@ -47,6 +48,7 @@ BAD = {
     "nan": math.nan,
     "inf": math.inf,
     "negative": -1.0,
+    "tiny_negative": -1e-300,
 }
 
 COUPLING = {
@@ -58,6 +60,7 @@ COUPLING = {
     "nan": "lam must be finite and >= 0, got nan",
     "inf": "lam must be finite and >= 0, got inf",
     "negative": "lam must be finite and >= 0, got -1.0",
+    "tiny_negative": "lam must be finite and >= 0, got -1e-300",
 }
 
 EXPONENT = {
@@ -79,6 +82,7 @@ MODULUS_K = {
     "nan": "elliptic_k requires 0 <= k < 1, got k=nan",
     "inf": "elliptic_k requires 0 <= k < 1, got k=inf",
     "negative": "elliptic_k requires 0 <= k < 1, got k=-1.0",
+    "tiny_negative": "elliptic_k requires 0 <= k < 1, got k=-1e-300",
 }
 
 MODULUS_E = {
@@ -86,6 +90,7 @@ MODULUS_E = {
     "nan": "elliptic_e requires 0 <= k <= 1, got k=nan",
     "inf": "elliptic_e requires 0 <= k <= 1, got k=inf",
     "negative": "elliptic_e requires 0 <= k <= 1, got k=-1.0",
+    "tiny_negative": "elliptic_e requires 0 <= k <= 1, got k=-1e-300",
 }
 
 STEP = {
@@ -97,6 +102,7 @@ STEP = {
     "nan": "delta must lie in [1e-06, 0.001], got nan",
     "inf": "delta must lie in [1e-06, 0.001], got inf",
     "negative": "delta must lie in [1e-06, 0.001], got -1.0",
+    "tiny_negative": "delta must lie in [1e-06, 0.001], got -1e-300",
 }
 
 CHI_M = {
@@ -108,11 +114,12 @@ CHI_M = {
     "nan": "chi_m must be finite and >= 0, got nan at N=512",
     "inf": "chi_m must be finite and >= 0, got inf at N=512",
     "negative": "chi_m must be finite and >= 0, got -1.0 at N=512",
+    "tiny_negative": "chi_m must be finite and >= 0, got -1e-300 at N=512",
 }
 
 # One element of an array.  A 0-d array there is read by numpy as its number,
 # and a 1-d one makes the array ragged (numpy's own ValueError): no rows.
-WINDOW_ELEMENT = {key: COUPLING[key] for key in ("str", "none", "complex", "nan", "inf", "negative")}
+WINDOW_ELEMENT = {key: COUPLING[key] for key in BAD if not key.startswith("array")}
 
 
 def _element(name, pair):
@@ -239,6 +246,8 @@ def test_real_number_gives_the_bits_of_its_float(lam, k, nu, chi_m):
     # Every reader converts by float() once, so no float32 arithmetic and no
     # numpy scalar is left downstream.
     assert ChainSpec(64, lam).lam.hex() == float(lam).hex()
+    for entry in (lambda v: correlators_finite(ChainSpec(64, v)), correlators_thermo):
+        assert field_bits(entry(lam)) == field_bits(entry(float(lam)))
     for entry in (susceptibility, susceptibility_slope):
         assert entry(64, lam).hex() == entry(64, float(lam)).hex()
     assert susceptibility_thermo(lam).hex() == susceptibility_thermo(float(lam)).hex()

@@ -22,7 +22,7 @@ from tfim_rfs import (  # noqa: E402
     susceptibility,
     susceptibility_thermo,
 )
-from test_fidelity_bounds import global_susceptibility, one_site_susceptibility  # noqa: E402
+from shared import DERIVS, FIELDS, global_susceptibility, one_site_susceptibility  # noqa: E402
 
 # Fixed example sequence, so a tier-1 run is reproducible.
 PROPERTIES = settings(max_examples=50, deadline=None, derandomize=True)
@@ -34,9 +34,6 @@ WIDE_COUPLINGS = st.floats(min_value=0.01, max_value=100.0)
 # below ~20 sites, so N >= 1024 is in the thermodynamic limit to roundoff.
 OFF_CRITICAL = st.floats(min_value=0.05, max_value=0.95) | st.floats(min_value=1.05, max_value=5.0)
 LARGE_SIZES = st.sampled_from([1024, 2048, 4096])
-
-FIELDS = ("sz", "xx", "yy", "zz")
-DERIVS = ("d_sz", "d_xx", "d_yy", "d_zz")
 
 
 @PROPERTIES

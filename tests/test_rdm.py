@@ -20,10 +20,7 @@ from tfim_rfs import (
     rfs_closed_form,
     susceptibility_thermo,
 )
-
-
-def rdm_at(n, lam):
-    return build_rdm(correlators_finite(ChainSpec(n, lam)))
+from shared import rdm_at
 
 
 def block_eigenvalues(rho):

@@ -26,11 +26,7 @@ from tfim_rfs.rfs import (
     _susceptibility_thermo_array,
     _uhlmann_fidelity,
 )
-from test_exact import PLAIN_LAMS
-
-
-def rdm_at(n, lam):
-    return build_rdm(correlators_finite(ChainSpec(n, lam)))
+from shared import PLAIN_LAMS, rdm_at
 
 
 class TestClosedForm:

@@ -170,7 +170,7 @@ class TestFindPeak:
         # on the former default bracket (0.8, 1.1) wherever that holds the
         # peak (N = 4 peaks at lam 0.694, outside it), finds bitwise the same
         # root and chi.  At N = 30 the slopes at the last two doubles tie in
-        # magnitude.  From N = 512 up find_peak opens on the peak-shift
+        # magnitude.  From N = 42 up find_peak opens on the peak-shift
         # bracket instead.
         mismatches = []
         for n in [*range(4, 601, 2), *(2 ** k for k in range(10, 21))]:
@@ -188,7 +188,7 @@ class TestFindPeak:
     @pytest.mark.parametrize("n", [30, 64, 250, 512, 4096, 2 ** 16, 2 ** 18, 2 ** 20])
     def test_bracket_does_not_change_peak(self, n):
         # Brent's root does not depend on the bracket that holds the peak,
-        # which is what lets find_peak search 1 +- 2/N, or from N = 512 up
+        # which is what lets find_peak search 1 +- 2/N, or from N = 42 up
         # the 1 % bracket of the peak shift.  At N = 30 the slopes at the
         # last two doubles tie in magnitude; without the tie rule the brackets
         # below disagree by one ulp.
@@ -196,7 +196,7 @@ class TestFindPeak:
             return susceptibility_slope(n, lam)
 
         brackets = [(0.8, 1.1), (0.5, 1.5), (0.95, 1.02), (1.0 - 2.0 / n, 1.0 + 2.0 / n)]
-        if n >= 512:
+        if n >= 42:
             shift = ((0.5746 * math.log(n) + 1.0677) / n) ** 2
             brackets += [(1.0 - 1.01 * shift, 1.0 - 0.99 * shift),
                          (1.0 - 1.1 * shift, 1.0 - 0.9 * shift)]
@@ -224,10 +224,21 @@ class TestFindPeak:
         assert _brent_root(fn, 0.0, 1.0, -0.5, 0.5) == 0.5
         assert probes == [0.5]
 
-    @pytest.mark.parametrize("k", range(9, 21))
+    def test_shift_bracket_holds_the_peak_from_42_sites(self):
+        # The 1 % bracket of the measured peak shift holds a sign change of
+        # the slope at every even N from 42 to 1024, and misses it at every
+        # N <= 40, where find_peak still needs its fallback 1 +- 2/N.
+        def holds(n):
+            shift = ((0.5746 * math.log(n) + 1.0677) / n) ** 2
+            lo, hi = 1.0 - 1.01 * shift, 1.0 - 0.99 * shift
+            return susceptibility_slope(n, lo) > 0.0 > susceptibility_slope(n, hi)
+
+        assert [n for n in range(4, 1025, 2) if not holds(n)] == list(range(4, 41, 2))
+
+    @pytest.mark.parametrize("k", range(6, 21))
     def test_slope_evaluations_bounded(self, k, monkeypatch):
-        # Both ends of the peak-shift bracket included: 5 evaluations at
-        # N = 2^9..2^13 and 4 from 2^14 up (7-8 on 1 +- 2/N).
+        # Both ends of the peak-shift bracket included: 6 evaluations at
+        # N = 2^6..2^8, 5 at 2^9..2^13 and 4 from 2^14 up (7-9 on 1 +- 2/N).
         calls = []
 
         def counted(n, lam):
@@ -236,7 +247,7 @@ class TestFindPeak:
 
         monkeypatch.setattr(tfim_rfs.scaling, "susceptibility_slope", counted)
         find_peak(2 ** k)
-        assert len(calls) <= (5 if k <= 13 else 4)
+        assert len(calls) <= (6 if k <= 8 else 5 if k <= 13 else 4)
 
     def test_no_maximum_in_either_bracket_raises_after_four_slopes(self, monkeypatch):
         # A model slope whose root lies below both brackets: the peak-shift
@@ -448,11 +459,10 @@ class TestFitThermo:
 
     @pytest.mark.parametrize("x,y,shapes", [
         ([1, 2, 3, 4, 5], [1, 2, 3, 4], "(5,) and (4,)"),
-        ([[1, 2], [3, 4]], [1, 2, 3, 4], "(2, 2) and (4,)"),
-    ], ids=["lengths", "2-d"])
+    ], ids=["lengths"])
     def test_shapes_rejected(self, x, y, shapes):
         # Unequal lengths used to raise numpy's LinAlgError "Incompatible
-        # dimensions", and a 2-d x numpy's "x must be a one-dimensional array".
+        # dimensions".  A 2-d x is a row of tests/test_inputs.py.
         message = f"x and y must be 1-d of one length, got shapes {shapes}"
         with pytest.raises(ValueError, match=re.escape(message)):
             fit_sq_log_model(x, y)
