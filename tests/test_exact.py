@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, make_dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -267,6 +268,17 @@ class TestOneCouplingRule:
         with pytest.raises(ValueError) as info:
             entry(lam)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lam", [2, np.float64(0.7), Fraction(7, 10)],
+                             ids=["int", "float64", "fraction"])
+    def test_real_number_gives_the_bits_of_its_float(self, lam):
+        value = float(lam)
+        assert ChainSpec(64, lam).lam.hex() == value.hex()
+        assert field_bits(correlators_finite(ChainSpec(64, lam))) == \
+            field_bits(correlators_finite(ChainSpec(64, value)))
+        assert susceptibility(64, lam).hex() == susceptibility(64, value).hex()
+        assert field_bits(correlators_thermo(lam)) == field_bits(correlators_thermo(value))
+        assert susceptibility_thermo(lam).hex() == susceptibility_thermo(value).hex()
 
 
 class TestFiniteCorrelators:
