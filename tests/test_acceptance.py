@@ -5,7 +5,6 @@ measured values; without -s the pass/fail status is carried by the test
 results themselves.
 """
 
-import json
 import math
 import time
 
@@ -20,16 +19,12 @@ from tfim_rfs import (
     correlators_thermo,
     best_collapse_exponent,
     data_collapse,
-    elliptic_e,
-    elliptic_k,
     find_peak,
     fit_finite_size,
     fit_thermo,
-    rfs_closed_form,
     rfs_oracle,
 )
-from tfim_rfs.cli import main as cli_main
-from shared import CRITICAL, fd6
+from shared import CRITICAL
 
 
 def report(number, name, ok, detail):
@@ -130,74 +125,3 @@ def test_criterion_7_data_collapse():
     assert quality <= 0.05
     assert 0.9 <= nu_best <= 1.1
 
-
-def test_criterion_8_property_suite(capsys, tmp_path, eigen_qfi_chi):
-    failures = []
-
-    # RDM invariants: trace one, derivative trace zero, PSD
-    for lam in (0.2, 0.7, 1.0, 1.5, 2.0):
-        for n in (64, 1024):
-            rho = build_rdm(correlators_finite(ChainSpec(n, lam)))
-            if abs(rho.u_plus + rho.u_minus + 2 * rho.w - 1.0) > 1e-14:
-                failures.append(f"trace at ({n}, {lam})")
-            if abs(rho.d_u_plus + rho.d_u_minus + 2 * rho.d_w) > 1e-12:
-                failures.append(f"derivative trace at ({n}, {lam})")
-            # eigenvalues w +- z+ and (u+ + u-)/2 +- hypot((u+ - u-)/2, z-)
-            radius = math.hypot((rho.u_plus - rho.u_minus) / 2, rho.z_minus)
-            if min(rho.w - abs(rho.z_plus), (rho.u_plus + rho.u_minus) / 2 - radius) < -1e-10:
-                failures.append(f"positivity at ({n}, {lam})")
-
-    # analytic derivatives vs central finite differences (6th-order stencil)
-    worst_fd = 0.0
-    for lam in (0.2, 0.8, 1.0, 1.3):
-        for n in (64, 1024):
-            for field, deriv in zip(("sz", "xx", "yy", "zz"),
-                                    ("d_sz", "d_xx", "d_yy", "d_zz")):
-                fd = fd6(lambda x: getattr(correlators_finite(ChainSpec(n, x)), field), lam)
-                worst_fd = max(worst_fd, abs(fd - getattr(
-                    correlators_finite(ChainSpec(n, lam)), deriv)))
-    if worst_fd > 1e-7:
-        failures.append(f"finite-difference agreement {worst_fd:.2e}")
-
-    # Legendre relation for the elliptic integrals
-    worst_legendre = 0.0
-    for k in (0.1, 0.5, 0.9):
-        kp = math.sqrt(1 - k * k)
-        lhs = (elliptic_e(k) * elliptic_k(kp) + elliptic_e(kp) * elliptic_k(k)
-               - elliptic_k(k) * elliptic_k(kp))
-        worst_legendre = max(worst_legendre, abs(lhs - math.pi / 2))
-    if worst_legendre > 1e-10:
-        failures.append(f"Legendre relation {worst_legendre:.2e}")
-
-    # closed-form det/trace block formula vs the QFI of the blocks'
-    # eigen-decomposition (mpmath), at finite and thermodynamic points
-    worst_forms = 0.0
-    points = [(n, lam) for lam in (0.3, 0.95, 1.0, 1.6) for n in (64, 1024)]
-    points += [(None, lam) for lam in (0.3, 0.9, 0.999, 1.001, 1.1, 1.6)]
-    for n, lam in points:
-        c = correlators_thermo(lam) if n is None else correlators_finite(ChainSpec(n, lam))
-        generic = eigen_qfi_chi(c)
-        worst_forms = max(worst_forms, abs(rfs_closed_form(build_rdm(c)).chi - generic) / generic)
-    if worst_forms > 1e-14:
-        failures.append(f"block-formula agreement {worst_forms:.2e}")
-
-    # CSV determinism and CSV/JSON value identity through the CLI
-    args = ["sweep", "--sizes", "12,52", "--steps", "4"]
-    assert cli_main(args) == 0
-    first = capsys.readouterr().out
-    assert cli_main(args) == 0
-    second = capsys.readouterr().out
-    if first != second:
-        failures.append("CSV output not byte-identical across reruns")
-    assert cli_main(args + ["--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    csv_rows = [line.split(",") for line in first.strip().splitlines()[1:]]
-    for row, json_row in zip(csv_rows, doc["rows"]):
-        if float(row[1]) != json_row["lambda"] or float(row[2]) != json_row["chi"]:
-            failures.append("CSV and JSON values differ")
-            break
-
-    ok = not failures
-    report(8, "property suite", ok,
-           "all invariants hold" if ok else "; ".join(failures))
-    assert not failures, failures

@@ -82,7 +82,7 @@ def test_verify_adds_oracle_columns(capsys):
     assert code == 0
     for row in rows:
         assert float(row["discrepancy"]) <= 1e-3
-        assert float(row["chi_oracle"]) == pytest.approx(float(row["chi"]), rel=1e-3)
+        assert float(row["chi_oracle"]) == pytest.approx(float(row["chi"]), rel=1e-3, abs=0)
 
 
 def test_verified_row_sums_each_coupling_once(capsys, monkeypatch):
@@ -123,7 +123,7 @@ def test_rfs_reports_block_contributions(capsys):
     assert code == 0
     for row in rows:
         total = float(row["chi_block1"]) + float(row["chi_block2"])
-        assert float(row["chi"]) == pytest.approx(total, rel=1e-12)
+        assert float(row["chi"]) == pytest.approx(total, rel=1e-12, abs=0)
 
 
 def test_correlators_command(capsys):

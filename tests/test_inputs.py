@@ -2,7 +2,7 @@
 
 Each public entry that reads a real number, or an array of them, is called
 with each value that the argument's kind rejects, and must raise a ValueError
-with the exact message; pytest turns any numpy RuntimeWarning into an error,
+with the exact message; pytest turns every warning into an error,
 so the message comes before any warning.  The kinds are those of the README's
 input table: a coupling, the collapse exponent nu, the elliptic modulus k,
 the oracle step delta, a peak record's chi_m, and sample arrays.  A value that

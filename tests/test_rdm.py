@@ -47,10 +47,6 @@ class TestBuildRdm:
         assert rho.u_plus == pytest.approx(u_plus_ref, abs=1e-6)
         assert rho.z_minus == pytest.approx(2 / (3 * math.pi), abs=1e-6)
 
-    def test_critical_z_minus_derivative(self):
-        rho = rdm_at(2 ** 14, 1.0)
-        assert rho.d_z_minus == pytest.approx(1 / (3 * math.pi), abs=1e-3)
-
     @pytest.mark.parametrize("lam", [0.2, 0.7, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n", [64, 1024])
     def test_traces(self, lam, n):

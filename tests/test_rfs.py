@@ -32,7 +32,7 @@ from shared import PLAIN_LAMS, rdm_at
 class TestClosedForm:
     def test_blocks_sum_to_total(self):
         value = rfs_closed_form(rdm_at(512, 0.9))
-        assert value.chi == pytest.approx(value.chi_block1 + value.chi_block2, rel=1e-15)
+        assert value.chi == pytest.approx(value.chi_block1 + value.chi_block2, rel=1e-15, abs=0)
         assert value.chi >= 0.0
 
     @pytest.mark.parametrize("n,lam", [
@@ -45,7 +45,7 @@ class TestClosedForm:
         # The generic form is the QFI of the blocks' eigen-decomposition, a
         # different formula from the closed form's det/trace algebra.
         c = correlators_thermo(lam) if n == "thermo" else correlators_finite(ChainSpec(n, lam))
-        assert rfs_closed_form(build_rdm(c)).chi == pytest.approx(eigen_qfi_chi(c), rel=1e-14)
+        assert rfs_closed_form(build_rdm(c)).chi == pytest.approx(eigen_qfi_chi(c), rel=1e-14, abs=0)
 
     def test_zero_derivative_gives_zero(self):
         rho = rdm_at(256, 0.7)
@@ -205,7 +205,7 @@ class TestUhlmannFidelity:
 
     def test_symmetric(self):
         a, b = rdm_at(256, 0.7), rdm_at(256, 0.9)
-        assert _uhlmann_fidelity(a, b) == pytest.approx(_uhlmann_fidelity(b, a), rel=1e-15)
+        assert _uhlmann_fidelity(a, b) == pytest.approx(_uhlmann_fidelity(b, a), rel=1e-15, abs=0)
 
     def test_pure_state_overlap(self):
         # rank-one blocks reduce the fidelity to the state overlap |<psi|phi>|
