@@ -122,7 +122,9 @@ def _read_option(key: str, text: str, where: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value file mirroring the flag names (underscored)."""
+    """Flat key = value file mirroring the flag names (underscored).  A line whose
+    first non-blank character is ``#`` is a comment; elsewhere ``#`` is part of
+    the value, as on the command line."""
     values = {}
     try:
         handle = open(path, encoding="utf-8-sig")  # a leading BOM is not part of the first key
@@ -130,8 +132,8 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     with handle:
         for line_no, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{line_no}: expected 'key = value'")

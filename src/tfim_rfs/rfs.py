@@ -130,10 +130,8 @@ def _closed_form_blocks(rho: TwoSiteRdm):
     """Both ``_blocks`` of rho and their chi_b; SingularBlockError if a det <= 1e-12."""
     one, two = _blocks(rho)
     if min(one[6], two[6]) <= _SINGULAR_TOL:
-        raise SingularBlockError(
-            f"singular block (det1={one[6]:.3e}, det2={two[6]:.3e}); "
-            "use the fidelity oracle instead"
-        )
+        raise SingularBlockError(f"singular block (det1={one[6]:.3e}, det2={two[6]:.3e}): "
+                                 f"the closed form needs det > {_SINGULAR_TOL!r}")
     return one, two, _block_chi(one), _block_chi(two)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,11 +93,20 @@ class PeakSearchError(ValueError):
 class PeakRecord:
     """The local maximum of chi(lam) at fixed chain size: the one sign change
     of its slope in 1 +- 2/N, found from N = 42 up inside the narrower
-    bracket of the measured peak shift."""
+    bracket of the measured peak shift.  Read when made: n_sites and lambda_m
+    by ChainSpec, chi_m by ``_real``; ValueError unless chi_m is finite, >= 0."""
 
     n_sites: int
     lambda_m: float
     chi_m: float
+
+    def __post_init__(self):
+        spec, chi_m = ChainSpec(self.n_sites, self.lambda_m), _real(self.chi_m, "chi_m")
+        if not 0.0 <= chi_m < math.inf:
+            raise ValueError(f"chi_m must be finite and >= 0, got {chi_m!r} at N={spec.n_sites}")
+        object.__setattr__(self, "n_sites", spec.n_sites)
+        object.__setattr__(self, "lambda_m", spec.lam)
+        object.__setattr__(self, "chi_m", chi_m)
 
 
 @dataclass(frozen=True)
@@ -220,13 +230,10 @@ def find_peak(n_sites: int) -> PeakRecord:
 
 
 def _checked_peak(rec) -> PeakRecord:
-    """A PeakRecord read whole: size and lambda_m by ChainSpec, chi_m real, finite, >= 0."""
+    """``rec`` itself; ValueError unless a PeakRecord, whose fields were read when it was made."""
     if not isinstance(rec, PeakRecord):
         raise ValueError(f"peaks must hold PeakRecords, got {type(rec).__name__}")
-    spec, chi_m = ChainSpec(rec.n_sites, rec.lambda_m), _real(rec.chi_m, "chi_m")
-    if not 0.0 <= chi_m < math.inf:
-        raise ValueError(f"chi_m must be finite and >= 0, got {chi_m!r} at N={spec.n_sites}")
-    return PeakRecord(spec.n_sites, spec.lam, chi_m)
+    return rec
 
 
 def _sizes(sizes) -> list:
@@ -261,9 +268,9 @@ def fit_finite_size(peaks) -> ScalingFit:
     The slope estimates sqrt(A) with A the squared-log amplitude; the
     params report the implied amplitude, the constant c1 = intercept/slope,
     the analytic reference, and the relative slope deviation.  ValueError for
-    a ``peaks`` that is a mapping or not iterable, a record that
-    ``_checked_peak`` rejects (each is read before any is sorted), fewer than
-    two distinct sizes, or a slope of exactly 0 (c1 undetermined).
+    a ``peaks`` that is a mapping or not iterable, an item that is not a
+    PeakRecord (each is checked before any is sorted), fewer than two distinct
+    sizes, or a slope of exactly 0 (c1 undetermined).
     """
     if isinstance(peaks, Mapping) or not isinstance(peaks, Iterable):
         raise ValueError(f"peaks must be an iterable of PeakRecord, got {type(peaks).__name__}")
@@ -430,21 +437,43 @@ class CollapseCurve:
     w = N (lam - lam_m) and y = sqrt(chi_m) - sqrt(chi(lam)).  ``by_size``
     derives x = N^nu (lam - lam_m) = N^(nu-1) w, so ``replace(curve, nu=...)``
     rescales without resampling.  At nu = 1 the sizes trace one function.
-    ``nu`` is read by ``_checked_nu``; the samples are checked when read.
+    Read when made: ``nu`` by ``_checked_nu``, then ValueError for samples that
+    are not a mapping, for a key that ChainSpec rejects, before any key is
+    compared, then for the first (w, y) in size order that ``_read_pair``
+    rejects, shorter than 2 or with w not strictly increasing.  They are kept
+    read-only, keyed by size as a plain int, sizes ascending, each (w, y) a
+    float copy, so a checked curve cannot change.
     """
 
-    samples: dict
+    samples: Mapping
     nu: float
 
     def __post_init__(self):
         object.__setattr__(self, "nu", _checked_nu(self.nu))
+        if not isinstance(self.samples, Mapping):
+            raise ValueError("samples must be a mapping n_sites -> (w, y), "
+                             f"got {type(self.samples).__name__}")
+        sized = {ChainSpec(n, 0.0).n_sites: s for n, s in self.samples.items()}
+        samples = {}
+        for n in sorted(sized):
+            w, y = sized[n]
+            w, y = samples[n] = tuple(np.array(a) for a in _read_pair(w, y, "w"))
+            if w.size < 2:
+                raise ValueError("need at least 2 points to interpolate")
+            if not np.all(w[1:] > w[:-1]):
+                raise ValueError("w must be strictly increasing")
+            w.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "samples", MappingProxyType(samples))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle or deepcopy: rebuild from a dict, read again.
+        return CollapseCurve, (dict(self.samples), self.nu)
 
     def by_size(self) -> dict:
         """Per-size (x, y) arrays, sizes and x ascending; ValueError if an x
-        is not finite, or see ``_read_samples`` and ``_size_factor``."""
-        samples = _read_samples(self)
+        is not finite, or see ``_size_factor``."""
         with np.errstate(over="ignore"):
-            curves = {n: (w * _size_factor(n, self.nu), y) for n, (w, y) in samples.items()}
+            curves = {n: (w * _size_factor(n, self.nu), y) for n, (w, y) in self.samples.items()}
         for n, (x, _) in curves.items():
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"x = N^(nu-1) w is not finite for N={n}, nu={self.nu!r}")
@@ -461,7 +490,7 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     ``nu`` that ``_checked_nu`` rejects, ``sizes`` that ``_sizes`` rejects, a
     size that ChainSpec rejects or a ``peaks`` that is not None or a mapping,
     before any peak is searched, and before sampling a size whose record in
-    ``peaks`` ``_checked_peak`` rejects or is of another N, or whose window
+    ``peaks`` is not a PeakRecord or is of another N, or whose window
     reaches lam < 0, as at N <= 10.
 
     The 40 samples off the peak are evaluated in one pass over couplings x
@@ -501,40 +530,17 @@ def data_collapse(sizes, nu: float = 1.0, peaks=None) -> CollapseCurve:
     return CollapseCurve(samples=samples, nu=nu)
 
 
-def _read_samples(curve: CollapseCurve) -> dict:
-    """``curve``'s samples keyed by size as a plain int, sizes ascending, read at
-    every read since they are mutable.  ValueError for samples that are not a
-    mapping, for a key that ChainSpec rejects, before any key is compared, then
-    for the first (w, y) in size order that ``_read_pair`` rejects, shorter
-    than 2 or with w not strictly increasing."""
-    if not isinstance(curve.samples, Mapping):
-        raise ValueError("samples must be a mapping n_sites -> (w, y), "
-                         f"got {type(curve.samples).__name__}")
-    sized = {ChainSpec(n, 0.0).n_sites: s for n, s in curve.samples.items()}
-    samples = {}
-    for n in sorted(sized):
-        w, y = sized[n]
-        w, y = samples[n] = _read_pair(w, y, "w")
-        if w.size < 2:
-            raise ValueError("need at least 2 points to interpolate")
-        if not np.all(w[1:] > w[:-1]):
-            raise ValueError("w must be strictly increasing")
-    return samples
-
-
 def _collapse_scorer(curve: CollapseCurve):
     """The quality of ``curve``'s samples as a function of nu.
 
-    Everything that does not depend on nu is done here, once: the samples
-    are read through ``_read_samples``, and the window ends and the pairs of
-    sizes kept.  The returned ``score(nu)`` is
+    Everything that does not depend on nu is done here, once: the window
+    ends and the pairs of sizes are kept.  The returned ``score(nu)`` is
     ``collapse_quality(replace(curve, nu=nu))``; see there for what it
     measures and raises.
     """
-    samples = _read_samples(curve)
-    if len(samples) < 2:
-        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {list(samples)}")
-    sizes, curves = list(samples), list(samples.values())
+    sizes, curves = list(curve.samples), list(curve.samples.values())
+    if len(sizes) < 2:
+        raise ValueError(f"the collapse quality needs at least 2 distinct sizes, got {sizes}")
     # No numpy step of score can overflow before its check: w is compared,
     # not differenced, and the window ends are checked finite before
     # np.linspace.
@@ -577,9 +583,8 @@ def collapse_quality(curve: CollapseCurve) -> float:
     Curves are compared at 101 evenly spaced x of their common window by
     linear interpolation, which does not overshoot.  Identical curves give
     0; two curves a constant 0.1 apart on a unit-swing shape give 0.1.
-    ValueError for samples that ``_read_samples`` rejects, fewer than 2 sizes
-    (one curve has no spread), an N^(nu-1) that overflows, and an empty
-    overlap window.
+    ValueError for fewer than 2 sizes (one curve has no spread), an
+    N^(nu-1) that overflows, and an empty overlap window.
     """
     return _collapse_scorer(curve)(curve.nu)
 
@@ -588,8 +593,8 @@ def best_collapse_exponent(sizes, peaks=None) -> float:
     """Exponent in [0.5, 2] minimizing the collapse quality metric.
 
     ``sizes`` is any iterable of sizes, read once by ``_sizes``.  The curves
-    are sampled once, at nu = 1, and checked once; each trial exponent scores
-    them as ``collapse_quality`` with nu replaced would.  Golden-section search stops
+    are sampled once, at nu = 1, and checked once, when made; each trial exponent
+    scores them as ``collapse_quality`` with nu replaced would.  Golden-section search stops
     at a bracket narrower than 1e-3.  Raises ValueError for a size that
     ChainSpec rejects, for fewer than 2 distinct sizes (one curve fits every
     nu), and for a ``peaks`` that ``data_collapse`` rejects.

@@ -332,9 +332,11 @@ _BAD_TEXT_CASES = _bad_text_cases()
      "run.cfg:2: steps = 1.5: invalid literal for int() with base 10: '1.5'"),
     ("lambda_min = abc\n", [], 2,
      "run.cfg:1: lambda_min = abc: could not convert string to float: 'abc'"),
+    ("  # a comment\nsteps = 3 # note\n", [], 2,  # '#' after a value is part of it
+     "run.cfg:2: steps = 3 # note: invalid literal for int() with base 10: '3 # note'"),
     *_BAD_TEXT_CASES,
 ], ids=["format_xml", "no_equals", "verify_maybe", "verify_off", "sizes_text", "nu_nan",
-        "steps_float", "lambda_text", *(case.id for case in _BAD_TEXT_CASES)])
+        "steps_float", "lambda_text", "trailing_hash", *(case.id for case in _BAD_TEXT_CASES)])
 def test_config_and_flag_values_checked(config, flags, code, message, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(config)
@@ -495,7 +497,7 @@ _OPTION_CASES = {
     "nu": ("1.5", "nu", 1.5),
     "verify": ("true", "verify", True),
     "format": ("json", "output_format", "json"),
-    "out": ("rows.json", "output_path", "rows.json"),
+    "out": ("rows#1.json", "output_path", "rows#1.json"),
 }
 
 
@@ -511,7 +513,7 @@ def test_config_key_matches_flag(key, tmp_path, capsys, monkeypatch):
     def config_of(args):
         code, out, err = run_cli(base_args + args, capsys)
         assert code == 0, err
-        doc = json.loads((tmp_path / "rows.json").read_text() if key == "out" else out)
+        doc = json.loads((tmp_path / "rows#1.json").read_text() if key == "out" else out)
         return doc["config"]
 
     from_file = config_of(["--config", "one.cfg"])

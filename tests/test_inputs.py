@@ -155,18 +155,8 @@ def _config(**changes):
     return RunConfig(**{**fields, **changes})
 
 
-def _peaks(**record):
-    """The records of N = 512 and 1024, with fields of the first replaced."""
-    return [PeakRecord(**{"n_sites": 512, "lambda_m": 0.99, "chi_m": 2.0, **record}),
-            PeakRecord(1024, 0.999, 3.0)]
-
-
-def _collapse_with(**record):
-    return data_collapse([512, 1024], peaks={p.n_sites: p for p in _peaks(**record)})
-
-
-def _curve(w, y, read):
-    return read(CollapseCurve(samples={64: (w, y), 128: GOOD_CURVE}, nu=1.0))
+def _curve(w, y):
+    return CollapseCurve(samples={64: (w, y), 128: GOOD_CURVE}, nu=1.0)
 
 
 # entry: (call of the bad value, the messages of its kind)
@@ -176,8 +166,7 @@ ENTRIES = {
     "susceptibility_thermo": (susceptibility_thermo, COUPLING),
     "susceptibility": (lambda v: susceptibility(64, v), COUPLING),
     "susceptibility_slope": (lambda v: susceptibility_slope(64, v), COUPLING),
-    "fit_finite_size.lambda_m": (lambda v: fit_finite_size(_peaks(lambda_m=v)), COUPLING),
-    "data_collapse.lambda_m": (lambda v: _collapse_with(lambda_m=v), COUPLING),
+    "PeakRecord.lambda_m": (lambda v: PeakRecord(512, v, 2.0), COUPLING),
     "fit_thermo.element": (lambda v: fit_thermo([0.9, 0.99, v, 0.9999]), WINDOW_ELEMENT),
     "fit_thermo.window": (fit_thermo, WINDOW),
     "CollapseCurve.nu": (lambda v: CollapseCurve(samples={64: GOOD_CURVE}, nu=v), EXPONENT),
@@ -187,8 +176,7 @@ ENTRIES = {
     "elliptic_e": (elliptic_e, MODULUS_E),
     "rfs_oracle.delta": (lambda v: rfs_oracle(ChainSpec(64, 0.5), v), STEP),
     "RunConfig.delta": (lambda v: _config(delta=v), STEP),
-    "fit_finite_size.chi_m": (lambda v: fit_finite_size(_peaks(chi_m=v)), CHI_M),
-    "data_collapse.chi_m": (lambda v: _collapse_with(chi_m=v), CHI_M),
+    "PeakRecord.chi_m": (lambda v: PeakRecord(512, 0.99, v), CHI_M),
     "fit_sq_log_model.x_element": (
         lambda v: fit_sq_log_model([1.0, 2.0, v, 4.0, 5.0], [1.0, 4.0, 9.0, 16.0, 25.0]),
         _element("x", "x")),
@@ -196,14 +184,9 @@ ENTRIES = {
         lambda v: fit_sq_log_model([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 4.0, v, 16.0, 25.0]),
         _element("y", "x")),
     "fit_sq_log_model.x": (lambda v: fit_sq_log_model(v, [1.0, 4.0, 9.0, 16.0]), FIT_X),
-    "collapse_quality.w_element": (
-        lambda v: _curve([v, 0.5, 1.0], [0.0, 1.0, 2.0], collapse_quality), _element("w", "w")),
-    "collapse_quality.y_element": (
-        lambda v: _curve([0.0, 0.5, 1.0], [v, 1.0, 2.0], collapse_quality), _element("y", "w")),
-    "by_size.w_element": (
-        lambda v: _curve([v, 0.5, 1.0], [0.0, 1.0, 2.0], CollapseCurve.by_size),
-        _element("w", "w")),
-    "collapse_quality.w": (lambda v: _curve(v, [0.0, 1.0, 2.0], collapse_quality), CURVE_W),
+    "CollapseCurve.w_element": (lambda v: _curve([v, 0.5, 1.0], [0.0, 1.0, 2.0]), _element("w", "w")),
+    "CollapseCurve.y_element": (lambda v: _curve([0.0, 0.5, 1.0], [v, 1.0, 2.0]), _element("y", "w")),
+    "CollapseCurve.w": (lambda v: _curve(v, [0.0, 1.0, 2.0]), CURVE_W),
 }
 
 ROWS = [(entry, key) for entry, (_, kind) in ENTRIES.items() for key in kind]
@@ -261,10 +244,9 @@ def test_real_number_gives_the_bits_of_its_float(lam, k, nu, chi_m):
     assert type(curve.nu) is float and curve.nu.hex() == float(nu).hex()
     assert collapse_quality(curve).hex() == \
         collapse_quality(CollapseCurve(samples=samples, nu=float(nu))).hex()
-    fit = fit_finite_size(_peaks(chi_m=chi_m))
-    assert _hex([fit.slope, fit.intercept]) == \
-        _hex([getattr(fit_finite_size(_peaks(chi_m=float(chi_m))), name)
-              for name in ("slope", "intercept")])
+    record = PeakRecord(np.int64(512), lam, chi_m)
+    assert [type(v) for v in vars(record).values()] == [int, float, float]
+    assert _hex(vars(record).values()) == _hex([512, lam, chi_m])
 
 
 @pytest.mark.parametrize("delta", [np.float64(1e-4), np.float32(1e-4), Fraction(1, 10000)],
@@ -291,22 +273,15 @@ def test_array_of_reals_gives_the_bits_of_its_floats(convert):
 
 
 class TestPeakRecordsReadFirst:
-    """A peak record is read whole, before it is sorted or sampled: the size
-    by ChainSpec, lambda_m by the coupling rule, chi_m as a real number."""
+    """A peak record is read whole when it is made, so before it is sorted or
+    sampled: the size by ChainSpec, lambda_m by the coupling rule, chi_m as a
+    real number."""
 
     def test_size_read_before_the_sort(self):
         # Used to raise TypeError: '<' not supported between 'int' and 'str'.
-        peaks = [PeakRecord("64", 0.99, 1.0), PeakRecord(128, 0.99, 2.0)]
         with pytest.raises(ValueError) as info:
-            fit_finite_size(peaks)
+            fit_finite_size([PeakRecord("64", 0.99, 1.0), PeakRecord(128, 0.99, 2.0)])
         assert str(info.value) == "n_sites must be an integer, got '64'"
-
-    def test_string_chi_m_is_not_a_real_number(self):
-        # Used to raise TypeError from the comparison with 0.0.
-        for call in (lambda v: fit_finite_size(_peaks(chi_m=v)), lambda v: _collapse_with(chi_m=v)):
-            with pytest.raises(ValueError) as info:
-                call("1.0")
-            assert str(info.value) == "chi_m must be a real number, got '1.0'"
 
     def test_collapse_peaks_must_hold_records(self):
         # Used to raise AttributeError: 'str' object has no attribute 'n_sites'.
@@ -335,13 +310,12 @@ def test_collapse_reads_nu_before_any_peak_search(monkeypatch):
     (lambda: fit_finite_size(None), "peaks must be an iterable of PeakRecord, got NoneType"),
     (lambda: data_collapse(None), "sizes must be an iterable of int, got NoneType"),
     (lambda: best_collapse_exponent(64), "sizes must be an iterable of int, got int"),
-    (lambda: collapse_quality(CollapseCurve([(1, 2)], 1.0)),
-     "samples must be a mapping n_sites -> (w, y), got list"),
-    (lambda: CollapseCurve(None, 1.0).by_size(),
+    (lambda: CollapseCurve([(1, 2)], 1.0), "samples must be a mapping n_sites -> (w, y), got list"),
+    (lambda: CollapseCurve(None, 1.0),
      "samples must be a mapping n_sites -> (w, y), got NoneType"),
 ], ids=["correlators_finite-tuple", "rfs_oracle-tuple", "rfs_oracle-list-first",
         "fit_finite_size-none", "data_collapse-none", "best_collapse_exponent-int",
-        "collapse_quality-list", "by_size-none"])
+        "CollapseCurve-list", "CollapseCurve-none"])
 def test_wrong_type_is_named(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -93,7 +93,7 @@ class TestClosedForm:
     def test_singular_block_reports_both_determinants(self, lam, dets):
         with pytest.raises(SingularBlockError) as info:
             rfs_closed_form(rdm_at(12, lam))
-        assert str(info.value) == f"singular block ({dets}); use the fidelity oracle instead"
+        assert str(info.value) == f"singular block ({dets}): the closed form needs det > 1e-12"
 
     @pytest.mark.parametrize("lam,smallest", [
         (1e-11, "-2.356e-06"), (1e-9, "-2.356e-08"), (1e-8, "-5.890e-10"),
